@@ -84,8 +84,6 @@ class CacheBlock:
     block: int
     spu_charged: int
     dirty: bool = False
-    #: Monotonic access stamp for LRU.
-    last_access: int = 0
     #: Dirtying time, for writeback ordering.
     dirty_since: int = -1
     #: Pinned while an I/O is in flight on the block.
@@ -106,20 +104,17 @@ class BufferCache:  # simlint: disable=SL401
 
     def __init__(self, provider: PageProvider):
         self.provider = provider
+        #: Cached blocks in LRU order, least recently used first: insert
+        #: appends and a lookup hit moves the block to the end.
         self.blocks: Dict[BlockKey, CacheBlock] = {}
-        self._clock = 0
         #: Counters for hit-ratio reporting.
         self.hits = 0
         self.misses = 0
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     # --- lookup -----------------------------------------------------------
 
     def lookup(self, key: BlockKey, spu_id: int) -> Optional[CacheBlock]:
-        """Find a block; updates LRU stamp and shared-page charging.
+        """Find a block; updates LRU order and shared-page charging.
 
         On access by an SPU other than the one charged, the block is
         recharged to the ``shared`` SPU (first touch marks the page with
@@ -130,7 +125,8 @@ class BufferCache:  # simlint: disable=SL401
             self.misses += 1
             return None
         self.hits += 1
-        block.last_access = self._tick()
+        del self.blocks[key]
+        self.blocks[key] = block
         if block.spu_charged not in (spu_id, SHARED_SPU_ID):
             if self.provider.transfer(block.spu_charged, SHARED_SPU_ID):
                 block.spu_charged = SHARED_SPU_ID
@@ -161,7 +157,6 @@ class BufferCache:  # simlint: disable=SL401
             block=key[1],
             spu_charged=spu_id,
             dirty=dirty,
-            last_access=self._tick(),
             dirty_since=now if dirty else -1,
         )
         self.blocks[key] = block
@@ -173,18 +168,19 @@ class BufferCache:  # simlint: disable=SL401
         return self._evict_clean(spu_id)
 
     def _evict_clean(self, spu_id: Optional[int]) -> bool:
-        """Evict the LRU clean, unpinned block (optionally one SPU's)."""
-        candidates = [
-            b
-            for b in self.blocks.values()
-            if not b.dirty and not b.pinned
-            and (spu_id is None or b.spu_charged == spu_id)
-        ]
-        if not candidates:
-            return False
-        victim = min(candidates, key=lambda b: (b.last_access, b.file_id, b.block))
-        self.remove(victim.key)
-        return True
+        """Evict the LRU clean, unpinned block (optionally one SPU's).
+
+        Walks from the LRU end, skipping dirty, pinned and other SPUs'
+        blocks; ``mark_dirty``/``mark_clean`` leave a block's position
+        alone, so a block cleaned by writeback keeps its old recency.
+        """
+        for key, block in self.blocks.items():
+            if not block.dirty and not block.pinned and (
+                spu_id is None or block.spu_charged == spu_id
+            ):
+                self.remove(key)  # returns at once: no iteration after the pop
+                return True
+        return False
 
     def remove(self, key: BlockKey) -> None:
         """Drop a block and return its page to the provider."""

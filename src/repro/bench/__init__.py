@@ -1,7 +1,7 @@
 """The performance harness behind ``python -m repro.bench``.
 
 Four measurements, one JSON artifact (``BENCH_parallel.json``,
-schema ``repro.bench/3``):
+schema ``repro.bench/4``):
 
 * **hot path** — events/sec through the simulator core, over two fixed
   probes that stress opposite regimes:
@@ -36,31 +36,11 @@ sweep cell is first looked up in the content-addressed sweep cache
 experiment and fleet computation while producing byte-identical
 records.  The hot-path probes always run — they *are* the measurement.
 
-Schema migration (``repro.bench/2`` → ``/3``): the payload gained a
-``stages`` map (per-stage wall seconds: ``hot_path``/``experiments``/
-``sweep``/``fleet`` — compare a cold artifact's stage seconds against
-a warm one's for the cold-vs-warm trajectory), a ``cache`` block
-(enabled flag, hit/miss/put/error counts, ``hit_ratio``), and a
-``pool`` block (processes forked, sweeps served — ``forks`` staying
-flat while ``runs_served`` grows is the pool doing its job);
-``experiments`` gained ``digests`` (short sha256 of each experiment's
-canonical records, so two artifacts can be compared for byte-identity
-without carrying the records) and ``cache_hits``;
-``sweep.workers.<n>`` gained ``pool_reuse``/``spooled_payloads``/
-``spool_bytes``/``cache_hits``/``cache_misses`` from
-:class:`repro.parallel.SweepStats`.  Every ``/2`` field is still
-present with unchanged meaning, so history stays comparable; cached
-runs are marked by ``cache.enabled`` + nonzero ``cache.hits`` (compare
-wall-clock trajectories cold-to-cold or warm-to-warm only — the
-``--min-speedup`` gate already skips cached runs for that reason).
-
-Schema migration (``repro.bench/1`` → ``/2``): ``hot_path`` gained a
-``probes`` map (per-probe events/seconds/rate/baseline) — the old
-flat fields now describe the *combined* run; ``sweep.workers.<n>``
-gained ``dispatch_s``/``compute_s``/``merge_s``/``transport``/
-``batch_size`` from :class:`repro.parallel.SweepStats`.  Consumers of
-the v1 flat ``hot_path`` fields keep working; per-probe trajectories
-must read ``hot_path.probes``.
+Besides the four measurements the artifact records ``stages``
+(per-stage wall seconds), ``cache`` (hit/miss counts, ``hit_ratio``),
+``pool`` (processes forked, sweeps served) and a short sha256 digest of
+each experiment's canonical records.  Schema ``/4`` dropped the fields
+that said how sweep results travelled; the worker pipe carries them all.
 
 Wall-clock numbers are hardware-dependent by nature; the JSON records
 the host's CPU count alongside them so trajectories are only compared
@@ -289,13 +269,9 @@ def bench_sweep_scaling(
             "dispatch_s": round(stats.dispatch_s, 4),
             "compute_s": round(stats.compute_s, 4),
             "merge_s": round(stats.merge_s, 4),
-            "transport": stats.transport,
             "batch_size": stats.batch_size,
-            "shm_spills": stats.shm_spills,
             "retried_cells": stats.retried_cells,
             "pool_reuse": stats.pool_reuse,
-            "spooled_payloads": stats.spooled_payloads,
-            "spool_bytes": stats.spool_bytes,
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
         }
@@ -419,7 +395,7 @@ def run_bench(
                          "closure": {"precise": 0, "fallback": 0}}
 
     return {
-        "schema": "repro.bench/3",
+        "schema": "repro.bench/4",
         "quick": quick,
         "seed": seed,
         "hot_path": hot,
@@ -477,8 +453,7 @@ def format_report(payload: Dict[str, Any]) -> str:
                 f"  stages: dispatch {stats['dispatch_s']}s,"
                 f" compute {stats['compute_s']}s (worker-summed),"
                 f" merge {stats['merge_s']}s"
-                f" [{stats.get('transport', '?')},"
-                f" batch={stats.get('batch_size', '?')}]"
+                f" [batch={stats.get('batch_size', '?')}]"
             )
     divergence = payload["sweep"]["divergence"]
     lines.append(

@@ -16,8 +16,11 @@ record that changed.  Any rebless needs a CHANGES.md entry giving the
 reason.
 """
 
+import itertools
+
 import pytest
 
+import repro.disk.request
 from repro.api import names
 from tests.golden.rebless import (
     EXPERIMENT_SEEDS,
@@ -78,6 +81,27 @@ def test_reversed_registry_order_matches_golden():
         f"seed {REVERSED_SEED} in reversed order differs for {mismatched}. "
         "If rebless.py (registry order) reproduces the goldens, the "
         f"results depend on run order; otherwise {REBLESS_HINT}"
+    )
+
+
+def test_disk_request_ids_do_not_reach_the_results(monkeypatch):
+    """History independence of the one process-wide counter left:
+    ``DiskRequest.request_id`` comes from a module-level
+    ``itertools.count`` that every run in a process shares.  The disk
+    schedulers only use ids for relative order, so starting the count
+    far from 1 -- as in a reused pool worker -- must not move a
+    disk-bound experiment's bytes."""
+    monkeypatch.setattr(
+        repro.disk.request, "_request_ids", itertools.count(10**9)
+    )
+    first = next(repro.disk.request._request_ids)
+    digest = experiment_digest("table4", FORWARD_SEED)
+    assert next(repro.disk.request._request_ids) - first > 100, (
+        "table4 no longer issues disk requests; pick a disk-bound experiment"
+    )
+    assert digest == GOLDEN["experiments"]["table4"][str(FORWARD_SEED)], (
+        f"table4 seed {FORWARD_SEED} depends on the request-id counter's "
+        "starting value"
     )
 
 

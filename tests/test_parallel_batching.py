@@ -1,17 +1,21 @@
-"""Batched dispatch and shared-memory transport contracts.
+"""Batched dispatch and the pipe that carries payloads and results.
 
-The executor redesign (SweepPlan/Executor) must keep every behaviour
-run_sweep promised — deterministic merge order, crash containment,
-retry accounting — while adding batch dispatch and the shm result
-path.  These tests pin the new surface.
+Batching must keep the executor's promises — deterministic merge order,
+crash containment, retry accounting — and the one worker pipe must
+carry payloads and results of any size byte for byte.
 """
 
+import hashlib
 import os
+import pickle
 
 import pytest
 
-from repro.parallel import Executor, RunOutcome, SweepPlan, SweepStats, values
-from repro.parallel.executor import _auto_batch, _shm_available
+from repro.parallel import Executor, SweepPlan, SweepStats, values
+from repro.parallel.executor import _auto_batch
+
+#: 16 KiB: payloads at least this big once took a separate path.
+_BIG_PAYLOAD = 1 << 14
 
 
 def _square(x):
@@ -19,8 +23,34 @@ def _square(x):
 
 
 def _big_result(x):
-    # Far larger than the shm segment (8 MiB): must spill inline.
-    return bytes(9 << 20)
+    # Larger than the 8 MiB per-worker result buffer the pool once had.
+    return bytes(range(256)) * (9 << 12) + bytes([x])
+
+
+def _digest(blob):
+    return len(blob), hashlib.sha256(blob).hexdigest()
+
+
+def _echo(payload):
+    return payload
+
+
+def _crash_once_then_digest(payload):
+    """Dies on the first attempt when given a marker path, like a
+    worker killed by host pressure; the retry on a fresh worker
+    succeeds."""
+    marker, blob = payload
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(17)
+    return _digest(blob)
+
+
+def _outcome_bytes(outcomes):
+    # One pickle per outcome: a pickle of the whole list would also
+    # record which objects the list shares, and that differs between
+    # in-process values and values unpickled from a pipe.
+    return [pickle.dumps((o.index, o.status, o.value)) for o in outcomes]
 
 
 def _crash_on_five(x):
@@ -42,13 +72,11 @@ def test_plan_defaults():
     plan = SweepPlan()
     assert plan.retries == 1
     assert plan.batch_size is None
-    assert plan.transport == "shm"
 
 
 @pytest.mark.parametrize("kwargs", [
     {"retries": -1},
     {"batch_size": 0},
-    {"transport": "carrier-pigeon"},
     {"tasks_per_worker": 0},
 ])
 def test_plan_rejects_bad_config(kwargs):
@@ -65,11 +93,9 @@ def test_auto_batch_scales_with_sweep_size():
 # --- batched dispatch -------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
 @pytest.mark.parametrize("batch_size", [1, 3, 16])
-def test_batched_results_in_submission_order(transport, batch_size):
-    plan = SweepPlan(max_workers=2, batch_size=batch_size,
-                     transport=transport)
+def test_batched_results_in_submission_order(batch_size):
+    plan = SweepPlan(max_workers=2, batch_size=batch_size)
     executor = Executor(plan)
     outcomes = executor.run(_square, list(range(23)))
     assert [o.index for o in outcomes] == list(range(23))
@@ -78,31 +104,34 @@ def test_batched_results_in_submission_order(transport, batch_size):
     assert executor.stats.batch_size == batch_size
 
 
-def test_shm_and_pipe_transports_agree():
-    results = {}
-    for transport in ("shm", "pipe"):
-        executor = Executor(SweepPlan(max_workers=2, transport=transport))
-        results[transport] = values(executor.run(_square, list(range(10))))
-    assert results["shm"] == results["pipe"]
-
-
-@pytest.mark.skipif(not _shm_available(), reason="needs fork + shm")
-def test_oversized_result_spills_inline():
+def test_oversized_result_comes_back_intact():
     executor = Executor(SweepPlan(max_workers=2, batch_size=2))
     outcomes = executor.run(_big_result, list(range(3)))
-    assert all(o.ok and len(o.value) == 9 << 20 for o in outcomes)
-    assert executor.stats.shm_spills == 3
-    assert executor.stats.transport == "shm"
+    assert executor.stats.workers == 2
+    assert all(o.ok for o in outcomes)
+    assert [o.value for o in outcomes] == [_big_result(x) for x in range(3)]
 
 
-def test_shm_segments_released():
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    before = set(os.listdir("/dev/shm"))
-    executor = Executor(SweepPlan(max_workers=2))
-    executor.run(_square, list(range(8)))
-    leaked = set(os.listdir("/dev/shm")) - before
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
+def test_large_payloads_match_serial_byte_for_byte():
+    payloads = [bytes([i]) * (_BIG_PAYLOAD + i) for i in range(6)]
+    serial = Executor(SweepPlan(max_workers=1)).run(_echo, payloads)
+    executor = Executor(SweepPlan(max_workers=2, batch_size=2))
+    parallel = executor.run(_echo, payloads)
+    assert executor.stats.workers == 2
+    assert _outcome_bytes(parallel) == _outcome_bytes(serial)
+    assert values(parallel) == payloads
+
+
+def test_large_payload_survives_a_crash_and_retry(tmp_path):
+    blobs = [bytes([i]) * (_BIG_PAYLOAD * 4 + i) for i in range(4)]
+    payloads = [(None, blob) for blob in blobs]
+    payloads[2] = (str(tmp_path / "crash-once"), blobs[2])
+    serial = Executor(SweepPlan(max_workers=1)).run(_digest, blobs)
+    parallel = Executor(SweepPlan(max_workers=2, retries=1)).run(
+        _crash_once_then_digest, payloads
+    )
+    assert _outcome_bytes(parallel) == _outcome_bytes(serial)
+    assert [o.retries for o in parallel] == [0, 0, 1, 0]
 
 
 # --- crash containment within a batch ---------------------------------------
@@ -154,8 +183,8 @@ def test_stats_stage_breakdown_populated():
     assert stats.compute_s > 0
     assert stats.dispatch_s >= 0 and stats.merge_s >= 0
     payload = stats.to_dict()
-    for key in ("dispatch_s", "compute_s", "merge_s", "transport",
-                "batch_size", "shm_spills", "retried_cells"):
+    for key in ("dispatch_s", "compute_s", "merge_s", "batch_size",
+                "retried_cells"):
         assert key in payload
 
 
@@ -165,7 +194,6 @@ def test_serial_path_stats():
     assert values(outcomes) == [0, 1, 4, 9]
     assert all(o.worker == -1 for o in outcomes)
     assert executor.stats.workers == 1
-    assert executor.stats.transport == "serial"
 
 
 # --- recycling composes with batching ---------------------------------------
@@ -182,12 +210,3 @@ def test_batches_never_straddle_recycling_budget():
     # 10 cells / 2 per worker = 5 worker lifetimes; ordinals prove
     # replacement actually happened.
     assert len({o.worker for o in outcomes}) >= 5
-
-
-def test_run_sweep_shim_matches_executor():
-    from repro.parallel import run_sweep
-
-    via_shim = run_sweep(_square, list(range(6)), max_workers=2)
-    via_plan = Executor(SweepPlan(max_workers=2)).run(_square, list(range(6)))
-    assert values(via_shim) == values(via_plan)
-    assert all(isinstance(o, RunOutcome) for o in via_shim)

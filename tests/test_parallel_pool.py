@@ -1,19 +1,12 @@
 """The persistent worker pool: reuse, fn switching, leak regressions."""
 
+import multiprocessing
 import os
 import signal
-import tempfile
 
 import pytest
 
-from repro.parallel import (
-    Executor,
-    PayloadSpool,
-    SweepPlan,
-    WorkerPool,
-    shm_available,
-    values,
-)
+from repro.parallel import Executor, SweepPlan, WorkerPool, values
 
 # Worker functions must be module-level (pickled by reference).
 
@@ -113,35 +106,23 @@ def test_shutdown_then_run_raises():
 # --- abnormal-exit lifecycle (the leak regression) ---------------------------
 
 
-def _shm_names():
-    try:
-        return {n for n in os.listdir("/dev/shm")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-def _spool_files(directory):
-    return {
-        name for name in os.listdir(directory)
-        if name.startswith("repro-spool-")
-    }
-
-
-@pytest.mark.skipif(not shm_available(), reason="needs fork + shm")
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
-def test_sigkill_mid_batch_leaks_no_segments_or_spool_files(
-    tmp_path, monkeypatch
-):
+def test_sigkill_mid_batch_leaves_no_orphans_or_open_pipes():
     # SIGKILL a worker mid-batch (the harshest abnormal exit: no atexit,
     # no signal handler, nothing runs in the worker) and check that
-    # after the sweep and pool shutdown no shared-memory segment and no
-    # spool file survives.
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    shm_before = _shm_names()
-    plan = SweepPlan(
-        max_workers=2, retries=0, batch_size=3, spool_threshold=1
-    )
+    # after the sweep and pool shutdown every worker the pool ever
+    # spawned, the replacement included, is reaped with its pipe closed.
+    children_before = set(multiprocessing.active_children())
+    plan = SweepPlan(max_workers=2, retries=0, batch_size=3)
     with WorkerPool(max_workers=2) as pool:
+        spawned = []
+        spawn = pool._spawn
+
+        def _recording_spawn():
+            spawned.append(spawn())
+            return spawned[-1]
+
+        pool._spawn = _recording_spawn
         outcomes = Executor(plan, pool=pool).run(
             _sigkill_on_die, ["a", "die", "b", "c", "d", "e"]
         )
@@ -150,25 +131,8 @@ def test_sigkill_mid_batch_leaks_no_segments_or_spool_files(
         assert all(
             statuses[i] == "ok" for i in statuses if i != 1
         )
-    assert _spool_files(str(tmp_path)) == set()
-    assert _shm_names() - shm_before == set()
-
-
-@pytest.mark.skipif(not shm_available(), reason="needs fork + shm")
-def test_pool_kill_releases_segments(monkeypatch, tmp_path):
-    shm_before = _shm_names()
-    pool = WorkerPool(max_workers=2)
-    pool.ensure(2)
-    assert _shm_names() - shm_before != set()
-    pool.kill()
-    assert _shm_names() - shm_before == set()
-
-
-def test_spool_close_is_idempotent_and_unlinks(tmp_path):
-    spool = PayloadSpool(dir=str(tmp_path))
-    spool.append(b"x" * 64)
-    path = spool.path
-    assert os.path.exists(path)
-    spool.close()
-    assert not os.path.exists(path)
-    spool.close()  # idempotent
+    assert len(spawned) >= 3  # two workers plus the killed one's successor
+    assert all(not w.process.is_alive() for w in spawned)
+    assert all(w.process.exitcode is not None for w in spawned)
+    assert all(w.conn.closed for w in spawned)
+    assert set(multiprocessing.active_children()) <= children_before

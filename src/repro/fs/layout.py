@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.units import PAGE_SIZE, SECTOR_SIZE, sectors
+from repro.sim.units import PAGE_SIZE, SECTORS_PER_PAGE, sectors
 
 
 class LayoutError(RuntimeError):
@@ -49,13 +50,25 @@ _file_ids = itertools.count(1)
 
 @dataclass
 class File:
-    """A file: a name, a size, extents, and a metadata sector."""
+    """A file: a name, a size, extents, and a metadata sector.
+
+    ``extents`` is fixed once the file is allocated; ``__post_init__``
+    indexes it by the logical sector each extent starts at, so mapping
+    a logical sector to its extent is a bisection, not a walk.
+    """
 
     name: str
     size_bytes: int
     extents: List[Extent]
     metadata_sector: int
     file_id: int = field(default_factory=lambda: next(_file_ids))
+    #: Logical start sector of each extent, then the sectors covered.
+    _extent_starts: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._extent_starts = list(
+            itertools.accumulate((e.nsectors for e in self.extents), initial=0)
+        )
 
     @property
     def nsectors(self) -> int:
@@ -66,33 +79,37 @@ class File:
         """Number of whole cache blocks (pages) covering the file."""
         return -(-self.size_bytes // PAGE_SIZE)
 
-    def sector_runs(self, start_sector: int, count: int) -> List[Tuple[int, int]]:
-        """Map a logical sector range to physical ``(sector, count)`` runs."""
+    def _locate(self, start_sector: int, count: int) -> Tuple[int, int]:
+        """Check a logical range; return the ``(extent index, offset)``
+        of its first sector."""
         if start_sector < 0 or count <= 0 or start_sector + count > self.nsectors:
             raise ValueError(
                 f"range [{start_sector}, +{count}) outside file of {self.nsectors} sectors"
             )
-        runs: List[Tuple[int, int]] = []
-        logical = 0
-        remaining = count
-        for extent in self.extents:
-            if remaining == 0:
-                break
-            extent_end = logical + extent.nsectors
-            if start_sector < extent_end and logical < start_sector + count:
-                offset_in_extent = max(0, start_sector - logical)
-                take = min(extent.nsectors - offset_in_extent, remaining)
-                runs.append((extent.start + offset_in_extent, take))
-                remaining -= take
-            logical = extent_end
-        if remaining:
+        starts = self._extent_starts
+        if start_sector + count > starts[-1]:
             raise LayoutError(f"file {self.name!r} extents cover too few sectors")
+        index = bisect_right(starts, start_sector) - 1
+        return index, start_sector - starts[index]
+
+    def sector_runs(self, start_sector: int, count: int) -> List[Tuple[int, int]]:
+        """Map a logical sector range to physical ``(sector, count)`` runs."""
+        index, offset = self._locate(start_sector, count)
+        runs: List[Tuple[int, int]] = []
+        remaining = count
+        while remaining:
+            extent = self.extents[index]
+            take = min(extent.nsectors - offset, remaining)
+            runs.append((extent.start + offset, take))
+            remaining -= take
+            index += 1
+            offset = 0
         return runs
 
     def block_sector(self, block: int) -> int:
         """Physical start sector of logical cache block ``block``."""
-        runs = self.sector_runs(block * (PAGE_SIZE // SECTOR_SIZE), 1)
-        return runs[0][0]
+        index, offset = self._locate(block * SECTORS_PER_PAGE, 1)
+        return self.extents[index].start + offset
 
 
 class Volume:

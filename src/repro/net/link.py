@@ -1,15 +1,21 @@
-"""The network link: a serial transmitter with a scheduled queue.
+"""The network link: a serial transmitter with per-SPU packet queues.
 
 A :class:`NetworkLink` transmits one packet at a time at the configured
 line rate and charges transmitted bytes to the sending SPU's decayed
 counter — the "sectors per second" scheme of Section 3.3 applied to
 bytes.  Messages larger than the MTU are fragmented into packet trains
 so that fair scheduling can interleave senders mid-message.
+
+Each SPU's packets wait in their own FIFO, in arrival order.  Every
+policy serves an SPU's packets oldest first, so the scheduler only sees
+the head packet of each SPU with packets queued and picks an SPU: a
+choice costs O(#SPUs), not O(queued packets).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Optional
 
 from repro.core.accounting import DecayedCounter
 from repro.core.spu import SPURegistry
@@ -65,7 +71,9 @@ class NetworkLink:
         self.bandwidth_mbps = bandwidth_mbps
         self.per_packet_overhead_us = per_packet_overhead_us
         self.link_id = link_id
-        self.queue: List[Packet] = []
+        # SPU id -> its queued packets, oldest first.  An SPU is a key
+        # only while it has packets queued.
+        self._queues: Dict[int, Deque[Packet]] = {}
         self.stats = LinkStats()
         self.busy = False
 
@@ -106,17 +114,24 @@ class NetworkLink:
 
     def _enqueue(self, packet: Packet) -> None:
         packet.enqueue_time = self.engine.now
-        self.queue.append(packet)
+        queue = self._queues.get(packet.spu_id)
+        if queue is None:
+            queue = self._queues[packet.spu_id] = deque()
+        queue.append(packet)
         if not self.busy:
             self._start_next()
 
     def _start_next(self) -> None:
-        if not self.queue:
+        if not self._queues:
             self.busy = False
             return
         self.busy = True
-        packet = self.scheduler.select(self.queue, self.engine.now, self.ledger)
-        self.queue.remove(packet)
+        heads = {spu_id: queue[0] for spu_id, queue in self._queues.items()}
+        spu_id = self.scheduler.select(heads, self.engine.now, self.ledger)
+        queue = self._queues[spu_id]
+        packet = queue.popleft()
+        if not queue:
+            del self._queues[spu_id]
         packet.start_time = self.engine.now
         self.engine.call_after(self.transmit_us(packet.nbytes), self._complete, packet)
 
@@ -129,4 +144,5 @@ class NetworkLink:
             packet.on_complete(packet)  # simlint: dynamic=callback-field
 
     def queue_depth(self) -> int:
-        return len(self.queue)
+        """Packets queued, not counting the one being transmitted."""
+        return sum(len(queue) for queue in self._queues.values())

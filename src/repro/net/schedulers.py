@@ -12,7 +12,7 @@ the threshold is deferred.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 from repro.net.packet import Packet
 
@@ -25,15 +25,25 @@ class ByteLedger(Protocol):
 
 
 class LinkScheduler(abc.ABC):
-    """Chooses the next packet to transmit."""
+    """Chooses the SPU whose oldest packet transmits next."""
 
     name = "abstract"
 
     @abc.abstractmethod
     def select(
-        self, queue: Sequence[Packet], now: int, ledger: ByteLedger
-    ) -> Packet:
-        """Pick one packet from a non-empty queue."""
+        self, heads: Mapping[int, Packet], now: int, ledger: ByteLedger
+    ) -> int:
+        """Pick an SPU id from ``heads``.
+
+        ``heads`` maps every SPU with packets queued (at least one) to
+        its oldest queued packet.  Within one link packets arrive in
+        ``packet_id`` order, so the lowest head id is the oldest packet
+        on the link.
+        """
+
+
+def _oldest(heads: Mapping[int, Packet], spu_ids: Iterable[int]) -> int:
+    return min(spu_ids, key=lambda s: heads[s].packet_id)
 
 
 class FifoLinkScheduler(LinkScheduler):
@@ -45,8 +55,8 @@ class FifoLinkScheduler(LinkScheduler):
 
     name = "fifo"
 
-    def select(self, queue, now, ledger):
-        return min(queue, key=lambda p: p.packet_id)
+    def select(self, heads, now, ledger):
+        return _oldest(heads, heads)
 
 
 class FairShareLinkScheduler(LinkScheduler):
@@ -54,14 +64,9 @@ class FairShareLinkScheduler(LinkScheduler):
 
     name = "fair"
 
-    def select(self, queue, now, ledger):
-        ratios: Dict[int, float] = {
-            spu_id: ledger.usage_ratio(spu_id, now)
-            for spu_id in sorted({p.spu_id for p in queue})
-        }
-        neediest = min(ratios, key=lambda s: (ratios[s], s))
-        own = [p for p in queue if p.spu_id == neediest]
-        return min(own, key=lambda p: p.packet_id)
+    def select(self, heads, now, ledger):
+        ratios = {s: ledger.usage_ratio(s, now) for s in sorted(heads)}
+        return min(ratios, key=lambda s: (ratios[s], s))
 
 
 class ThresholdFairLinkScheduler(LinkScheduler):
@@ -78,17 +83,16 @@ class ThresholdFairLinkScheduler(LinkScheduler):
             raise ValueError("threshold must be >= 0")
         self.threshold = threshold
 
-    def select(self, queue, now, ledger):
-        active = sorted({p.spu_id for p in queue})
-        if len(active) <= 1:
-            return min(queue, key=lambda p: p.packet_id)
-        ratios = {s: ledger.usage_ratio(s, now) for s in active}
-        mean = sum(ratios.values()) / len(active)
-        passing = {s for s in active if ratios[s] <= mean + self.threshold}
-        candidates = [p for p in queue if p.spu_id in passing]
-        if not candidates:  # pragma: no cover - min ratio always passes
-            candidates = list(queue)
-        return min(candidates, key=lambda p: p.packet_id)
+    def select(self, heads, now, ledger):
+        if len(heads) <= 1:
+            return _oldest(heads, heads)
+        active = sorted(heads)
+        ratios = [ledger.usage_ratio(s, now) for s in active]
+        limit = sum(ratios) / len(active) + self.threshold
+        # The rounded mean of equal ratios can fall just below them, so
+        # under a zero threshold no SPU may pass: then FIFO over all.
+        passing = [s for s, r in zip(active, ratios) if r <= limit] or active
+        return _oldest(heads, passing)
 
 
 def make_link_scheduler(name: str, threshold: float = 16384.0) -> LinkScheduler:

@@ -1,6 +1,9 @@
 """Unit tests for disk scheduling policies."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.disk import (
     BlindFairScheduler,
@@ -199,3 +202,77 @@ class TestFactory:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             make_scheduler("elevator")
+
+
+# --- brute-force reference --------------------------------------------------
+
+
+def reference_select(policy, queue, head_sector, now, ledger):
+    """Sort the whole queue by the policy's key and take the first.
+
+    The background split (fairness policies) and PIso's threshold rule
+    are applied literally, over the whole queue, before the sort."""
+    candidates = list(queue)
+    if policy.name in ("iso", "piso"):
+        foreground = [
+            r for r in candidates
+            if not ledger.is_background(r.spu_id)
+            or now - r.enqueue_time >= BACKGROUND_STARVATION_LIMIT
+        ]
+        candidates = foreground or candidates
+    ratios = {s: ledger.usage_ratio(s, now)
+              for s in sorted({r.spu_id for r in candidates})}
+    if policy.name == "piso" and len(ratios) > 1:
+        limit = sum(ratios.values()) / len(ratios) + policy.bw_difference_threshold
+        candidates = [r for r in candidates if ratios[r.spu_id] <= limit] or candidates
+    keys = {
+        "fifo": lambda r: r.request_id,
+        "sstf": lambda r: (abs(r.sector - head_sector), r.request_id),
+        "pos": lambda r: (r.sector < head_sector, r.sector, r.request_id),
+        "piso": lambda r: (r.sector < head_sector, r.sector, r.request_id),
+        "iso": lambda r: (ratios[r.spu_id], r.spu_id, r.request_id),
+    }
+    return sorted(candidates, key=keys[policy.name])[0]
+
+
+NOW = 2 * BACKGROUND_STARVATION_LIMIT
+REQUESTS = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # SPU
+        st.integers(0, 200),  # start sector
+        # enqueue time: fresh, just short of the starvation limit, at it
+        st.sampled_from([NOW, NOW - BACKGROUND_STARVATION_LIMIT + 1,
+                         NOW - BACKGROUND_STARVATION_LIMIT, 0]),
+    ),
+    min_size=1, max_size=12,
+)
+DISK_POLICIES = st.one_of(
+    st.sampled_from(["pos", "fifo", "sstf", "iso"]).map(make_scheduler),
+    st.builds(FairCScanScheduler, st.sampled_from([0.0, 0.5, 1.0, 256.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    policy=DISK_POLICIES,
+    requests=REQUESTS,
+    head=st.integers(0, 210),
+    ratios=st.dictionaries(
+        st.integers(0, 3),
+        st.sampled_from([0.0, 1.0, 2.0, 100.0, 939.1491627785106]),
+    ),
+    background=st.sets(st.integers(0, 3), max_size=2),
+    order=st.randoms(use_true_random=False),
+)
+# A ratio exactly at mean + threshold passes.
+@example(policy=FairCScanScheduler(1.0), requests=[(0, 50, NOW), (1, 100, NOW)],
+         head=0, ratios={0: 2.0, 1: 0.0}, background=set(),
+         order=random.Random(0))
+def test_select_matches_brute_force_sort(
+    policy, requests, head, ratios, background, order
+):
+    queue = [req(spu, sector, enq=enq) for spu, sector, enq in requests]
+    order.shuffle(queue)
+    ledger = FakeLedger(ratios, background)
+    expected = reference_select(policy, queue, head, NOW, ledger)
+    assert policy.select(queue, head, NOW, ledger) is expected

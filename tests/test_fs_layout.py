@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.fs import Extent, LayoutError, Volume
-from repro.sim.units import KB, PAGE_SIZE, SECTOR_SIZE
+from repro.fs import Extent, File, LayoutError, Volume
+from repro.sim.units import KB, PAGE_SIZE, SECTOR_SIZE, SECTORS_PER_PAGE
 
 
 @pytest.fixture
@@ -130,6 +130,88 @@ class TestSectorRuns:
         runs = file.sector_runs(start, count)
         assert sum(n for _s, n in runs) == count
         assert all(n > 0 for _s, n in runs)
+
+
+def reference_sector_runs(file, start_sector, count):
+    """The linear extent walk the bisected index replaced."""
+    if start_sector < 0 or count <= 0 or start_sector + count > file.nsectors:
+        raise ValueError(
+            f"range [{start_sector}, +{count}) outside file of {file.nsectors} sectors"
+        )
+    runs = []
+    logical = 0
+    remaining = count
+    for extent in file.extents:
+        if remaining == 0:
+            break
+        extent_end = logical + extent.nsectors
+        if start_sector < extent_end and logical < start_sector + count:
+            offset_in_extent = max(0, start_sector - logical)
+            take = min(extent.nsectors - offset_in_extent, remaining)
+            runs.append((extent.start + offset_in_extent, take))
+            remaining -= take
+        logical = extent_end
+    if remaining:
+        raise LayoutError(f"file {file.name!r} extents cover too few sectors")
+    return runs
+
+
+def reference_block_sector(file, block):
+    return reference_sector_runs(file, block * SECTORS_PER_PAGE, 1)[0][0]
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except (ValueError, LayoutError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def extent_lists(draw):
+    """Extents of random sizes and places, possibly covering fewer or
+    more sectors than the file's size."""
+    sizes = draw(st.lists(st.integers(1, 40), max_size=12))
+    return [Extent(draw(st.integers(0, 10_000)), n) for n in sizes]
+
+
+class TestExtentIndex:
+    """The bisected ``sector_runs``/``block_sector`` against the walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        extents=extent_lists(),
+        size_bytes=st.integers(1, 400 * SECTOR_SIZE),
+        probes=st.lists(st.tuples(st.integers(-3, 420), st.integers(-1, 60)),
+                        min_size=1, max_size=20),
+    )
+    def test_matches_linear_walk(self, extents, size_bytes, probes):
+        file = File("f", size_bytes, extents, metadata_sector=0)
+        for start, count in probes:
+            assert outcome(file.sector_runs, start, count) == outcome(
+                reference_sector_runs, file, start, count
+            )
+            block = start // SECTORS_PER_PAGE
+            assert outcome(file.block_sector, block) == outcome(
+                reference_block_sector, file, block
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(size_kb=st.integers(1, 256), extent_sectors=st.integers(1, 64),
+           seed=st.integers(0, 2**16))
+    def test_fragmented_files_map_every_block_like_the_walk(
+        self, size_kb, extent_sectors, seed
+    ):
+        volume = Volume(10_000_000, rng=random.Random(seed))
+        file = volume.allocate_fragmented("f", size_kb * KB, extent_sectors)
+        for block in range(file.nblocks + 1):
+            assert outcome(file.block_sector, block) == outcome(
+                reference_block_sector, file, block
+            )
+        assert file.sector_runs(0, file.nsectors) == reference_sector_runs(
+            file, 0, file.nsectors
+        )
 
 
 class TestVolumeLookup:

@@ -21,6 +21,8 @@ import itertools
 import pytest
 
 import repro.disk.request
+import repro.fs.layout
+import repro.net.packet
 from repro.api import names
 from tests.golden.rebless import (
     EXPERIMENT_SEEDS,
@@ -85,7 +87,7 @@ def test_reversed_registry_order_matches_golden():
 
 
 def test_disk_request_ids_do_not_reach_the_results(monkeypatch):
-    """History independence of the one process-wide counter left:
+    """History independence of a process-wide counter:
     ``DiskRequest.request_id`` comes from a module-level
     ``itertools.count`` that every run in a process shares.  The disk
     schedulers only use ids for relative order, so starting the count
@@ -101,6 +103,38 @@ def test_disk_request_ids_do_not_reach_the_results(monkeypatch):
     )
     assert digest == GOLDEN["experiments"]["table4"][str(FORWARD_SEED)], (
         f"table4 seed {FORWARD_SEED} depends on the request-id counter's "
+        "starting value"
+    )
+
+
+def test_packet_ids_do_not_reach_the_results(monkeypatch):
+    """The same for ``Packet.packet_id``: a link orders packets only by
+    their ids relative to each other, so a count that starts far from 1
+    must not move the one network experiment's bytes."""
+    monkeypatch.setattr(repro.net.packet, "_packet_ids", itertools.count(10**9))
+    first = next(repro.net.packet._packet_ids)
+    digest = experiment_digest("network", FORWARD_SEED)
+    assert next(repro.net.packet._packet_ids) - first > 100, (
+        "network no longer sends packets"
+    )
+    assert digest == GOLDEN["experiments"]["network"][str(FORWARD_SEED)], (
+        f"network seed {FORWARD_SEED} depends on the packet-id counter's "
+        "starting value"
+    )
+
+
+@pytest.mark.parametrize("name", ["table3", "faults"])
+def test_file_ids_do_not_reach_the_results(monkeypatch, name):
+    """The same for ``File.file_id``, part of every buffer-cache key:
+    file-heavy experiments must not depend on where the count starts."""
+    monkeypatch.setattr(repro.fs.layout, "_file_ids", itertools.count(10**9))
+    first = next(repro.fs.layout._file_ids)
+    digest = experiment_digest(name, FORWARD_SEED)
+    assert next(repro.fs.layout._file_ids) - first > 10, (
+        f"{name} no longer creates files"
+    )
+    assert digest == GOLDEN["experiments"][name][str(FORWARD_SEED)], (
+        f"{name} seed {FORWARD_SEED} depends on the file-id counter's "
         "starting value"
     )
 

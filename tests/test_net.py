@@ -1,6 +1,9 @@
 """Unit tests for the network substrate."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import SPURegistry
 from repro.net import (
@@ -55,42 +58,68 @@ class TestPacket:
             _ = Packet(1, NetOp.SEND, 10).wait_us
 
 
+def heads_of(*packets):
+    """The per-SPU head map a link hands its scheduler."""
+    heads = {}
+    for p in sorted(packets, key=lambda p: p.packet_id):
+        heads.setdefault(p.spu_id, p)
+    return heads
+
+
 class TestSchedulers:
     def test_fifo_is_arrival_order(self):
         first = packet(2)
         second = packet(1)
         sched = FifoLinkScheduler()
-        assert sched.select([second, first], 0, FakeLedger({})) is first
+        assert sched.select(heads_of(second, first), 0, FakeLedger({})) == 2
 
     def test_fair_picks_neediest(self):
         sched = FairShareLinkScheduler()
-        queue = [packet(1), packet(2)]
-        assert sched.select(queue, 0, FakeLedger({1: 100.0, 2: 1.0})).spu_id == 2
+        heads = heads_of(packet(1), packet(2))
+        assert sched.select(heads, 0, FakeLedger({1: 100.0, 2: 1.0})) == 2
 
-    def test_fair_fifo_within_spu(self):
+    def test_fair_ties_go_to_lowest_spu_id(self):
         sched = FairShareLinkScheduler()
-        first = packet(1)
-        second = packet(1)
-        assert sched.select([second, first], 0, FakeLedger({1: 0.0})) is first
+        heads = heads_of(packet(3), packet(2))
+        assert sched.select(heads, 0, FakeLedger({2: 1.0, 3: 1.0})) == 2
+
+    def test_fair_fifo_within_spu(self, link_setup):
+        # The scheduler picks an SPU; the link sends that SPU's oldest.
+        engine, link, a, b = link_setup
+        for spu, nbytes in ((a, 100), (b, 200), (a, 300), (b, 400), (a, 500)):
+            link.send(spu.spu_id, nbytes)
+        assert link.queue_depth() == 4  # the first packet is on the wire
+        engine.run()
+        assert link.queue_depth() == 0
+        for spu in (a, b):
+            sent = [p.nbytes for p in link.stats.completed if p.spu_id == spu.spu_id]
+            assert sent == sorted(sent)
 
     def test_threshold_defers_hog(self):
         sched = ThresholdFairLinkScheduler(threshold=10.0)
-        hog_first = packet(1)
-        light = packet(2)
+        heads = heads_of(packet(1), packet(2))
         ledger = FakeLedger({1: 100.0, 2: 0.0})
-        assert sched.select([hog_first, light], 0, ledger).spu_id == 2
+        assert sched.select(heads, 0, ledger) == 2
 
     def test_threshold_fifo_when_balanced(self):
         sched = ThresholdFairLinkScheduler(threshold=1000.0)
-        first = packet(1)
-        second = packet(2)
+        heads = heads_of(packet(1), packet(2))
         ledger = FakeLedger({1: 5.0, 2: 5.0})
-        assert sched.select([first, second], 0, ledger) is first
+        assert sched.select(heads, 0, ledger) == 1
 
     def test_threshold_single_spu_passes(self):
         sched = ThresholdFairLinkScheduler(threshold=0.0)
-        p = packet(1)
-        assert sched.select([p], 0, FakeLedger({1: 1e9})) is p
+        assert sched.select(heads_of(packet(1)), 0, FakeLedger({1: 1e9})) == 1
+
+    def test_threshold_zero_with_equal_ratios_falls_back_to_fifo(self):
+        # The mean of three copies of this ratio rounds one ulp below
+        # it, so no SPU passes a zero threshold.
+        ratio = 939.1491627785106
+        assert sum([ratio] * 3) / 3 < ratio
+        sched = ThresholdFairLinkScheduler(threshold=0.0)
+        heads = heads_of(packet(3), packet(1), packet(2))
+        ledger = FakeLedger({1: ratio, 2: ratio, 3: ratio})
+        assert sched.select(heads, 0, ledger) == 3
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -219,3 +248,135 @@ class TestExperiment:
         fifo = run_network_isolation("fifo")
         fair = run_network_isolation("fair")
         assert abs(fair.goodput_mbps - fifo.goodput_mbps) < 5.0
+
+
+# --- differential checks against the list-based reference ---------------
+#
+# The reference keeps every queued packet in one list and lets the
+# policy scan all of it, as the link did before it kept a FIFO per SPU.
+# It is slow and obviously right; the per-SPU link must transmit the
+# same packets in the same order at the same times.
+
+
+def reference_select(policy, queue, now, ledger):
+    """The packet ``policy`` sends next, by a scan of the whole queue."""
+    oldest = min(queue, key=lambda p: p.packet_id)
+    if policy.name == "fifo":
+        return oldest
+    active = sorted({p.spu_id for p in queue})
+    ratios = {s: ledger.usage_ratio(s, now) for s in active}
+    if policy.name == "fair":
+        neediest = min(ratios, key=lambda s: (ratios[s], s))
+        return min((p for p in queue if p.spu_id == neediest),
+                   key=lambda p: p.packet_id)
+    if len(active) <= 1:
+        return oldest
+    mean = sum(ratios.values()) / len(active)
+    passing = {s for s in active if ratios[s] <= mean + policy.threshold}
+    candidates = [p for p in queue if p.spu_id in passing] or list(queue)
+    return min(candidates, key=lambda p: p.packet_id)
+
+
+class ReferenceLink(NetworkLink):
+    """The link with one packet list, scanned by ``reference_select``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queue = []
+
+    def _enqueue(self, packet):
+        packet.enqueue_time = self.engine.now
+        self.queue.append(packet)
+        if not self.busy:
+            self._start_next()
+
+    def _start_next(self):
+        if not self.queue:
+            self.busy = False
+            return
+        self.busy = True
+        packet = reference_select(self.scheduler, self.queue,
+                                  self.engine.now, self.ledger)
+        self.queue.remove(packet)
+        packet.start_time = self.engine.now
+        self.engine.call_after(self.transmit_us(packet.nbytes),
+                               self._complete, packet)
+
+    def queue_depth(self):
+        return len(self.queue)
+
+
+class TableLedger:
+    """Usage ratios read from a table, moving on with every charge.
+
+    Few distinct values make ties common; 939.149... is a ratio whose
+    mean over three SPUs rounds below it (no SPU passes a zero
+    threshold)."""
+
+    def __init__(self, table):
+        self.table = table
+        self.charges = 0
+
+    def usage_ratio(self, spu_id, now):
+        return self.table[(self.charges * 5 + spu_id) % len(self.table)]
+
+    def charge(self, spu_id, nbytes, now):
+        self.charges += 1
+
+
+RATIOS = st.lists(
+    st.sampled_from([0.0, 1.0, 2.5, 1000.0, 939.1491627785106]),
+    min_size=1, max_size=12,
+)
+POLICIES = st.one_of(
+    st.builds(FifoLinkScheduler),
+    st.builds(FairShareLinkScheduler),
+    st.builds(ThresholdFairLinkScheduler,
+              st.sampled_from([0.0, 0.5, 2.0, 16384.0])),
+)
+
+
+@given(policy=POLICIES, spus=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       ratios=RATIOS, order=st.randoms(use_true_random=False))
+# No SPU passes: the mean of the three equal ratios rounds below them.
+@example(policy=ThresholdFairLinkScheduler(0.0), spus=[3, 1, 2],
+         ratios=[939.1491627785106], order=random.Random(0))
+def test_select_matches_reference_scan(policy, spus, ratios, order):
+    """Selecting from per-SPU heads picks the packet the full scan picks."""
+    queue = [packet(s) for s in spus]  # made, so numbered, in arrival order
+    ledger = TableLedger(ratios)
+    expected = reference_select(policy, queue, 0, ledger)
+    order.shuffle(queue)  # the scan must not depend on list order
+    heads = heads_of(*queue)
+    assert heads[policy.select(heads, 0, ledger)] is expected
+
+
+SENDS = st.lists(
+    st.tuples(st.integers(0, 400),  # gap before the send, us
+              st.integers(1, 4),  # SPU
+              st.integers(1, 3 * MTU_BYTES)),  # message bytes
+    min_size=1, max_size=25,
+)
+
+
+def transmissions(link_cls, policy, ratios, sends):
+    engine = Engine(seed=0)
+    link = link_cls(engine, policy, TableLedger(ratios),
+                    bandwidth_mbps=100.0, per_packet_overhead_us=5)
+    depths = []
+    now = 0
+    for index, (gap, spu, nbytes) in enumerate(sends):
+        now += gap
+        engine.call_at(now, link.send, spu, nbytes, None, index)
+        engine.call_at(now, lambda: depths.append(link.queue_depth()))
+    engine.run()
+    return depths, [(p.pid, p.spu_id, p.nbytes, p.start_time, p.finish_time)
+                    for p in link.stats.completed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=POLICIES, ratios=RATIOS, sends=SENDS)
+def test_link_matches_reference_link(policy, ratios, sends):
+    """Same sends, same ratios: same packets, order, times and depths."""
+    got = transmissions(NetworkLink, policy, ratios, sends)
+    assert got == transmissions(ReferenceLink, policy, ratios, sends)

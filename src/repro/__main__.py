@@ -4,11 +4,13 @@ Subcommands:
 
 * ``experiments`` — regenerate the paper's tables and figures
   (``python -m repro experiments fig5 table4 --seed 1 --workers 4``);
-* ``chaos`` — the seeded chaos soak (``python -m repro chaos --seed 0
-  --workers 4``); ``python -m repro.chaos`` remains a shim;
 * ``fuzz`` — generative scenario fuzzing with a resumable corpus and
   ddmin-shrunken repro files (``python -m repro fuzz --seed 0
-  --count 50 --workers 4``; ``--repro FILE`` replays a repro);
+  --count 50 --workers 4``; ``--repro FILE`` replays a repro;
+  ``--profile chaos|fleet`` fuzzes the fixed chaos machine or whole
+  fleets instead);
+* ``chaos`` — the chaos soak, an alias for ``fuzz --profile chaos``
+  (``python -m repro chaos --seeds 0 1 2 --horizon-ms 3000``);
 * ``bench`` — the performance harness that writes
   ``BENCH_parallel.json`` (``python -m repro bench --quick``);
 * ``fleet`` — the fleet failover smoke gate: a seeded multi-machine
@@ -42,9 +44,7 @@ def main(argv: List[str]) -> int:
 
         return experiments_main(rest)
     if command == "chaos":
-        from repro.chaos.__main__ import main as chaos_main
-
-        return chaos_main(rest)
+        command, rest = "fuzz", ["--profile", "chaos", *rest]
     if command == "fuzz":
         from repro.fuzz.__main__ import main as fuzz_main
 

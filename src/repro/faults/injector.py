@@ -30,8 +30,8 @@ class FaultInjector:
     ``CpuAdd`` with nothing offline after delta-shrinking dropped its
     paired ``CpuRemove``): ``"raise"`` (default) propagates the
     :class:`~repro.kernel.kernel.KernelError`; ``"skip"`` logs the
-    event as skipped and keeps going — what the chaos harness uses so
-    shrunken plans stay runnable.
+    event as skipped and keeps going — what the fuzz runner uses so
+    shrunken scenarios stay runnable.
     """
 
     def __init__(self, kernel: Kernel, plan: FaultPlan, on_error: str = "raise"):

@@ -177,7 +177,7 @@ class FaultPlan:
 
     # --- JSON round-trip ---------------------------------------------------
     #
-    # Chaos repro files embed the fault plan that was live when an
+    # Fuzz repro files embed the fault plan that was live when an
     # invariant broke; ``from_json(to_json(plan))`` must rebuild an
     # equal plan, re-running the same validation as the constructors.
 

@@ -7,7 +7,7 @@ any of it.  The runner calls :meth:`FleetWatchdog.check` at every
 epoch boundary (before and after fleet fault events apply), against a
 duck-typed fleet view, and every breach is recorded as a
 :class:`~repro.faults.invariants.Violation` — the same value object
-the chaos and fuzz pipelines already aggregate.
+the single-machine fuzz pipeline already aggregates.
 
 Checked invariants:
 

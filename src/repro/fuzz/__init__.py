@@ -1,22 +1,23 @@
 """repro.fuzz — generative scenario fuzzing for the simulator.
 
-The chaos harness (PR 2) replays *hand-shaped* adversity: a fixed
-machine, a fixed victim, randomized bursts and faults.  The fuzzer
-generalises every axis the paper's claims quantify over — machine
+The fuzzer draws every axis the paper's claims quantify over — machine
 shape, allocation scheme, workload mix, antagonist schedule, fault
-schedule — into one seeded, legal-by-construction draw
+schedule — as one seeded, legal-by-construction scenario
 (:func:`generate_scenario`), runs it under the full oracle stack
 (:func:`run_scenario`), campaigns over seed ranges with a resumable
 JSONL corpus (:func:`run_campaign`), and shrinks every failure to a
-minimal replayable repro (:func:`shrink_scenario`), with the ddmin
-core (:func:`ddmin`) now generic enough that the chaos shrinker is a
-client of it too.
+minimal replayable repro (:func:`shrink_scenario`, built on the generic
+:func:`ddmin` core).
 
-The fleet dimension (:func:`generate_fleet_scenario`,
-:func:`run_fleet_fuzz_record`; ``--fleet`` on the CLI) draws whole
-multi-machine fleets — crash/recover/partition schedules, SPU
-failover, SLO admission — and judges them with the fleet watchdog,
-flowing through the same resumable corpus and sharding.
+A campaign's profile picks what a seed draws.  The ``chaos`` profile
+(:func:`generate_chaos_scenario`; ``python -m repro chaos``) holds the
+machine fixed, runs no workload mix and soaks the victim SPU under
+antagonist bursts and faults alone, with a fixed 250 ms victim-progress
+bound.  The ``fleet`` profile (:func:`generate_fleet_scenario`,
+:func:`run_fleet_fuzz_record`) draws whole multi-machine fleets —
+crash/recover/partition schedules, SPU failover, SLO admission — and
+judges them with the fleet watchdog, flowing through the same
+resumable corpus and sharding.
 """
 
 from repro.fuzz.campaign import (
@@ -33,10 +34,11 @@ from repro.fuzz.fleet import (
     generate_fleet_scenario,
     run_fleet_fuzz_record,
 )
-from repro.fuzz.generate import generate_scenario
+from repro.fuzz.generate import generate_chaos_scenario, generate_scenario
 from repro.fuzz.runner import ScenarioResult, run_record, run_scenario
 from repro.fuzz.scenario import (
     SCHEMES,
+    AntagonistBurst,
     WORKLOAD_KINDS,
     ScenarioError,
     ScenarioSpec,
@@ -51,6 +53,7 @@ from repro.fuzz.shrink import (
 )
 
 __all__ = [
+    "AntagonistBurst",
     "CampaignConfig",
     "CampaignError",
     "CampaignReport",
@@ -63,6 +66,7 @@ __all__ = [
     "WorkloadSpec",
     "ddmin",
     "fleet_fingerprint",
+    "generate_chaos_scenario",
     "generate_fleet_scenario",
     "generate_scenario",
     "load_corpus",

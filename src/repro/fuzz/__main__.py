@@ -10,12 +10,16 @@ Two modes:
   a minimal ``fuzz-repro-<seed>.json``.
 * **replay** (``--repro FILE``): re-run one repro file's scenario and
   exit 1 if the recorded violation still reproduces.  Fleet repro
-  files (``fleet-repro-<seed>.json``, written by ``--fleet``
+  files (``fleet-repro-<seed>.json``, written by ``--profile fleet``
   campaigns) replay through :func:`repro.fleet.run_fleet`.
 
-``--fleet`` switches the campaign's cell from single-machine
-scenarios to randomly drawn multi-machine fleets with whole-machine
-crash/recover/partition schedules, judged by the fleet watchdog.
+``--profile`` picks what each seed draws: ``scenario`` (the default: a
+random machine, scheme and workload mix), ``chaos`` (the fixed
+4-CPU/16 MB/2-disk PIso machine with antagonist bursts and faults only,
+judged against a 250 ms victim-progress bound; ``python -m repro
+chaos`` is this profile) or ``fleet`` (randomly drawn multi-machine
+fleets with whole-machine crash/recover/partition schedules, judged by
+the fleet watchdog).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import argparse
 import sys
 from typing import List
 
-from repro.fuzz.campaign import CampaignConfig, run_campaign
+from repro.fuzz.campaign import PROFILE_CELLS, CampaignConfig, run_campaign
 from repro.fuzz.shrink import replay
 from repro.sim.units import MSEC
 
@@ -49,9 +53,10 @@ def main(argv: List[str] = sys.argv[1:]) -> int:
         help="explicit seed list (overrides --seed/--count)",
     )
     parser.add_argument(
-        "--corpus", default="fuzz-corpus.jsonl",
+        "--corpus", default=None,
         help="append-only JSONL corpus; doubles as the resume checkpoint"
-        " (default: fuzz-corpus.jsonl)",
+        " (default: fuzz-corpus.jsonl, or PROFILE-corpus.jsonl for the"
+        " chaos and fleet profiles)",
     )
     parser.add_argument(
         "--horizon-ms", type=int, default=1000,
@@ -78,10 +83,11 @@ def main(argv: List[str] = sys.argv[1:]) -> int:
         help="force the SIMSAN runtime sanitizer on for every cell",
     )
     parser.add_argument(
-        "--fleet", action="store_true",
-        help="fuzz multi-machine fleets (whole-machine crashes, SPU"
-        " failover, SLO admission) instead of single-machine scenarios;"
-        " failures are written as full-spec fleet-repro-<seed>.json",
+        "--profile", choices=sorted(PROFILE_CELLS), default="scenario",
+        help="what each seed draws: generated single-machine scenarios"
+        " (default), the fixed chaos machine, or multi-machine fleets"
+        " (whole-machine crashes, SPU failover, SLO admission; failures"
+        " are written as full-spec fleet-repro-<seed>.json)",
     )
     parser.add_argument(
         "--differential", action="store_true",
@@ -141,9 +147,13 @@ def main(argv: List[str] = sys.argv[1:]) -> int:
 
     seeds = args.seeds if args.seeds is not None \
         else list(range(args.seed, args.seed + args.count))
+    corpus = args.corpus
+    if corpus is None:
+        corpus = "fuzz-corpus.jsonl" if args.profile == "scenario" \
+            else f"{args.profile}-corpus.jsonl"
     config = CampaignConfig(
         seeds=seeds,
-        corpus_path=args.corpus,
+        corpus_path=corpus,
         workers=None if args.workers == 0 else args.workers,
         timeout_s=args.timeout_s,
         horizon_us=args.horizon_ms * MSEC if args.horizon_ms else None,
@@ -152,7 +162,7 @@ def main(argv: List[str] = sys.argv[1:]) -> int:
         shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget,
         budget_s=args.budget_s,
-        fleet=args.fleet,
+        profile=args.profile,
         cache=args.cache,
         cache_dir=args.cache_dir,
     )

@@ -27,6 +27,15 @@ re-runs the scenario in-process, shrinks it
 violation, and writes ``fuzz-repro-<seed>.json`` next to the corpus —
 including on resume, so an interruption between recording a failure
 and shrinking it loses nothing.
+
+The campaign's **profile** picks what a seed draws: ``scenario``
+(:func:`~repro.fuzz.generate.generate_scenario`, a random machine and
+workload mix), ``chaos``
+(:func:`~repro.fuzz.generate.generate_chaos_scenario`, the fixed chaos
+machine with a 250 ms victim-progress bound) or ``fleet``
+(:func:`~repro.fuzz.fleet.generate_fleet_scenario`, a whole
+multi-machine fleet).  Each profile has its own cell function, so the
+profile is part of every sweep-cache key.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fuzz.generate import generate_scenario
+from repro.fuzz.generate import generate_chaos_scenario, generate_scenario
 from repro.fuzz.runner import run_record, run_scenario
 from repro.fuzz.shrink import shrink_scenario, write_repro
 from repro.parallel import Executor, SweepPlan, WorkerPool
@@ -59,6 +68,15 @@ def _fuzz_cell(payload: Tuple[int, Optional[int], Optional[bool]]) -> Dict[str, 
     return run_record(scenario, simsan=simsan)
 
 
+def _chaos_fuzz_cell(
+    payload: Tuple[int, Optional[int], Optional[bool]]
+) -> Dict[str, Any]:
+    """The chaos-profile cell: same payload, fixed chaos machine."""
+    seed, horizon_us, simsan = payload
+    scenario = generate_chaos_scenario(seed, horizon_us=horizon_us)
+    return run_record(scenario, simsan=simsan)
+
+
 def _fleet_fuzz_cell(
     payload: Tuple[int, Optional[int], Optional[bool]]
 ) -> Dict[str, Any]:
@@ -67,6 +85,21 @@ def _fleet_fuzz_cell(
 
     seed, horizon_us, simsan = payload
     return run_fleet_fuzz_record(seed, horizon_us=horizon_us, simsan=simsan)
+
+
+#: Campaign profile -> its cell function.
+PROFILE_CELLS: Dict[str, Callable[[Any], Dict[str, Any]]] = {
+    "scenario": _fuzz_cell,
+    "chaos": _chaos_fuzz_cell,
+    "fleet": _fleet_fuzz_cell,
+}
+
+#: The single-machine profiles' generators (the fleet profile draws
+#: fleets, which have no scenario spec).
+SCENARIO_GENERATORS = {
+    "scenario": generate_scenario,
+    "chaos": generate_chaos_scenario,
+}
 
 
 # --- the corpus --------------------------------------------------------------
@@ -167,10 +200,12 @@ class CampaignConfig:
     budget_s: Optional[float] = None
     #: Stop after this many shards (test hook for interrupt/resume).
     max_shards: Optional[int] = None
-    #: Fuzz multi-machine fleets (crash/failover/SLO admission) instead
-    #: of single-machine scenarios; failures get a ``fleet-repro`` file
-    #: (the full spec — fleet draws have no ddmin shrinker yet).
-    fleet: bool = False
+    #: What each seed draws, a key of :data:`PROFILE_CELLS`: a generated
+    #: ``scenario``, the fixed-shape ``chaos`` machine, or a multi-machine
+    #: ``fleet`` (crash/failover/SLO admission), whose failures get a
+    #: ``fleet-repro`` file (the full spec — fleet draws have no ddmin
+    #: shrinker yet).
+    profile: str = "scenario"
     #: Answer already-seen cells from the content-addressed sweep cache.
     cache: bool = False
     #: Cache store root (None = $REPRO_CACHE_DIR or .repro-cache).
@@ -225,14 +260,15 @@ class CampaignReport:
 
 def _failure_record(seed: int, config: CampaignConfig, outcome) -> Dict[str, Any]:
     """Corpus record for a cell the executor could not complete."""
-    if config.fleet:
+    fleet = config.profile == "fleet"
+    if fleet:
         from repro.fuzz.fleet import fleet_fingerprint, generate_fleet_scenario
 
         fingerprint = fleet_fingerprint(
             generate_fleet_scenario(seed, horizon_us=config.horizon_us)
         )
     else:
-        fingerprint = generate_scenario(
+        fingerprint = SCENARIO_GENERATORS[config.profile](
             seed, horizon_us=config.horizon_us
         ).fingerprint()
     record = {
@@ -244,7 +280,7 @@ def _failure_record(seed: int, config: CampaignConfig, outcome) -> Dict[str, Any
         "events": 0,
         "digest": "",
     }
-    if config.fleet:
+    if fleet:
         record["fleet"] = True
     return record
 
@@ -284,9 +320,11 @@ def _write_fleet_repro_for(seed: int, config: CampaignConfig, path: str) -> bool
 
 def _write_repro_for(seed: int, config: CampaignConfig, path: str) -> bool:
     """Re-run, shrink, and persist one failing seed's repro file."""
-    if config.fleet:
+    if config.profile == "fleet":
         return _write_fleet_repro_for(seed, config, path)
-    scenario = generate_scenario(seed, horizon_us=config.horizon_us)
+    scenario = SCENARIO_GENERATORS[config.profile](
+        seed, horizon_us=config.horizon_us
+    )
     result = run_scenario(scenario, simsan=config.simsan)
     if result.ok:
         # A differential verdict with no in-process violation: there is
@@ -309,6 +347,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     seeds = list(config.seeds)
     if len(set(seeds)) != len(seeds):
         raise CampaignError("campaign seeds must be unique")
+    if config.profile not in PROFILE_CELLS:
+        raise CampaignError(
+            f"unknown campaign profile {config.profile!r};"
+            f" expected one of {sorted(PROFILE_CELLS)}"
+        )
     repair_corpus(config.corpus_path)
     existing = load_corpus(config.corpus_path)
     wanted = set(seeds)
@@ -318,7 +361,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     verdicts = Counter(r["verdict"] for r in relevant)
     failures = [r["seed"] for r in relevant if r["verdict"] == "violation"]
 
-    cell_fn = _fleet_fuzz_cell if config.fleet else _fuzz_cell
+    cell_fn = PROFILE_CELLS[config.profile]
     report = CampaignReport(
         corpus_path=config.corpus_path,
         resumed=len(relevant),
@@ -397,7 +440,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     repro_dir = config.repro_dir if config.repro_dir is not None \
         else (parent or ".")
     os.makedirs(repro_dir, exist_ok=True)
-    stem = "fleet-repro" if config.fleet else "fuzz-repro"
+    stem = "fleet-repro" if config.profile == "fleet" else "fuzz-repro"
     for seed in failures:
         path = os.path.join(repro_dir, f"{stem}-{seed}.json")
         if os.path.exists(path) or _write_repro_for(seed, config, path):

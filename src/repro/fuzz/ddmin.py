@@ -1,9 +1,8 @@
 """Universal delta debugging: ddmin over any list of removable items.
 
-PR 2's :func:`repro.chaos.shrink.shrink_plan` carried its own copy of
-the ddmin loop, hard-wired to chaos events.  The fuzzer needs the same
-minimisation over a richer item set (workloads, antagonist bursts,
-fault events), so the algorithm now lives here, generic over *any*
+The scenario shrinker (:func:`repro.fuzz.shrink.shrink_scenario`)
+minimises a failing scenario's events (workloads, antagonist bursts,
+fault events) with this algorithm, which is generic over *any*
 sequence of items plus a ``fails`` predicate: :func:`ddmin` returns the
 smallest item subset it found for which ``fails`` still returns True.
 

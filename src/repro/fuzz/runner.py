@@ -1,8 +1,8 @@
 """Run one generated scenario under the full oracle stack.
 
 :func:`run_scenario` lowers a :class:`~repro.fuzz.scenario.ScenarioSpec`
-onto the ordinary :func:`repro.api.build` seam, plants the same
-latency-sensitive victim the chaos soak uses, starts the scenario's
+onto the ordinary :func:`repro.api.build` seam, plants a
+latency-sensitive victim SPU (:func:`victim_job`), starts the scenario's
 workload mix from the calibrated library, fires its antagonist bursts,
 arms its fault schedule (``on_error="skip"`` so shrunken scenarios stay
 runnable), and judges the run with four oracle families:
@@ -18,7 +18,8 @@ runnable), and judges the run with four oracle families:
   with the scheme's promise: PIso must keep the victim moving in every
   quarter-horizon window, Quo and Stride in every half-horizon window,
   and SMP (which promises nothing under attack) is held only to the
-  conservation laws;
+  conservation laws.  A scenario's ``progress_window_us`` overrides the
+  scheme's window (the chaos profile pins 250 ms);
 * **differential** — :func:`run_record` is a pure function of
   ``(scenario, simsan)``; the campaign re-runs cells in-process and
   compares records byte-for-byte against worker results.
@@ -37,17 +38,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.antagonists import launch
 from repro.api import build
-from repro.chaos.soak import (
-    VICTIM_BURST_US,
-    VICTIM_JOBS,
-    VICTIM_LOCK_HOLD_US,
-    progress_violations,
-    victim_job,
-)
 from repro.faults import FaultInjector, InvariantWatchdog, OverloadGuard, Violation
 from repro.fuzz.scenario import ScenarioSpec, WorkloadSpec
 from repro.kernel.kernel import Kernel
 from repro.kernel.locks import KernelLock
+from repro.kernel.syscalls import Acquire, Behavior, Checkpoint, Compute, Release, SetWorkingSet
 from repro.sanitizer import SanitizerError, SimSanitizer, check_stride
 from repro.sim.units import KB, MSEC
 from repro.workloads import (
@@ -64,6 +59,12 @@ from repro.workloads import (
     pmake_job,
     simulator_process,
 )
+
+#: Victim shape: a few small jobs checkpointing every short burst.
+VICTIM_JOBS = 2
+VICTIM_BURST_US = 5 * MSEC
+VICTIM_WS_PAGES = 64
+VICTIM_LOCK_HOLD_US = 50
 
 #: Victim-progress bound per scheme, as a divisor of the horizon: the
 #: contract oracle flags any window of ``horizon // divisor`` without a
@@ -107,6 +108,67 @@ class ScenarioResult:
     def digest(self) -> str:
         """Stable hash of the journal — the byte-identity handle."""
         return hashlib.sha256("\n".join(self.journal).encode()).hexdigest()[:16]
+
+
+def victim_job(lock: KernelLock, rounds: int, tag: str) -> Behavior:
+    """Short compute bursts, each followed by a checkpoint.
+
+    The brief shared-lock section keeps the victim on the kernel-lock
+    path (so a lock hogger is an actual antagonist for it) without
+    making progress depend on anything an attacker can hold for long.
+    """
+    yield SetWorkingSet(pages=VICTIM_WS_PAGES)
+    for i in range(rounds):
+        yield Acquire(lock, shared=True)
+        yield Compute(VICTIM_LOCK_HOLD_US)
+        yield Release(lock)
+        yield Compute(VICTIM_BURST_US)
+        yield Checkpoint(f"{tag}.{i}")
+    yield SetWorkingSet(pages=0)
+
+
+def progress_violations(
+    victim_procs: List, horizon_us: int, window_us: int
+) -> List[Violation]:
+    """Flag every empty checkpoint window while the victim should move.
+
+    ``window_us`` is the oracle's bound: no window of that many
+    microseconds may pass without a single victim checkpoint.
+    """
+    times = sorted(
+        t for p in victim_procs for (_label, t) in p.checkpoints
+    )
+    # Stop checking once every victim job has exited (a finished victim
+    # legitimately stops checkpointing).
+    end = horizon_us
+    if all(not p.alive for p in victim_procs):
+        end = min(horizon_us, max(p.finished for p in victim_procs))
+    violations = []
+    cursor = 0
+    for start in range(0, end - window_us + 1, window_us):
+        stop = start + window_us
+        while cursor < len(times) and times[cursor] < start:
+            cursor += 1
+        if cursor < len(times) and times[cursor] < stop:
+            continue
+        violations.append(
+            Violation(
+                stop,
+                "victim-progress",
+                f"no victim checkpoint in [{start}us, {stop}us)",
+            )
+        )
+    return violations
+
+
+def progress_window(scenario: ScenarioSpec) -> Optional[int]:
+    """The scenario's victim-progress bound, or None for no promise."""
+    if scenario.progress_window_us is not None:
+        return scenario.progress_window_us
+    divisor = SCHEME_PROGRESS_DIVISOR[scenario.scheme]
+    if divisor is None:
+        return None
+    return max(1, scenario.horizon_us // divisor)
 
 
 def _leak_pages(kernel: Kernel) -> None:
@@ -236,9 +298,8 @@ def run_scenario(
     violations = list(watchdog.violations)
     if sanitizer_violation is not None:
         violations.append(sanitizer_violation)
-    divisor = SCHEME_PROGRESS_DIVISOR[scenario.scheme]
-    if divisor is not None and sanitizer_violation is None:
-        window = max(1, scenario.horizon_us // divisor)
+    window = progress_window(scenario)
+    if window is not None and sanitizer_violation is None:
         violations += progress_violations(
             victim_procs, scenario.horizon_us, window_us=window
         )

@@ -12,7 +12,8 @@ ddmin re-run arbitrary sub-scenarios.
 Validation is load-time, not run-time: a scenario that names an unknown
 workload, points a fault at a disk the machine does not have, or puts a
 workload on a mount past ``ndisks`` is rejected with a message naming
-the field — never a mid-run ``KeyError``.
+the field — never a mid-run ``KeyError``.  Every such rejection, bursts
+included, is a :class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from repro.chaos.plan import AntagonistBurst, ChaosPlanError
+from repro.antagonists import ANTAGONIST_KINDS
 from repro.faults.plan import DiskFailure, FaultEvent, FaultPlan, FaultPlanError
 
 #: Scenario format tag for repro files and the corpus.
@@ -106,9 +107,45 @@ class WorkloadSpec:
             )
 
 
+@dataclass(frozen=True)
+class AntagonistBurst:
+    """Launch one antagonist at an absolute simulated time."""
+
+    at_us: int
+    kind: str
+    scale: float = 1.0
+
+    def _validate(self) -> None:
+        # NaN fails every comparison, so explicit finiteness checks
+        # must come before the range checks or a NaN time/scale from a
+        # hand-edited repro file would slip through.
+        for name, value in (("at_us", self.at_us), ("scale", self.scale)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ScenarioError(
+                    f"burst {name} must be a finite number,"
+                    f" got {value!r}: {self!r}"
+                )
+        if self.at_us < 0:
+            raise ScenarioError(f"burst scheduled before boot: {self!r}")
+        if self.kind not in ANTAGONIST_KINDS:
+            raise ScenarioError(
+                f"unknown antagonist {self.kind!r};"
+                f" expected one of {ANTAGONIST_KINDS}"
+            )
+        if self.scale <= 0:
+            raise ScenarioError(f"burst scale must be positive: {self!r}")
+
+
 @dataclass
 class ScenarioSpec:
-    """A validated, replayable fuzz scenario."""
+    """A validated, replayable fuzz scenario.
+
+    ``progress_window_us`` overrides the victim-progress bound the
+    runner would otherwise derive from the scheme (see
+    :data:`repro.fuzz.runner.SCHEME_PROGRESS_DIVISOR`); the chaos
+    profile pins it to a fixed 250 ms.
+    """
 
     seed: int
     ncpus: int
@@ -119,6 +156,7 @@ class ScenarioSpec:
     workloads: List[WorkloadSpec] = field(default_factory=list)
     bursts: List[AntagonistBurst] = field(default_factory=list)
     faults: FaultPlan = field(default_factory=FaultPlan)
+    progress_window_us: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_int("seed", self.seed, lo=0)
@@ -135,6 +173,8 @@ class ScenarioSpec:
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
         _check_int("horizon_us", self.horizon_us, lo=1)
+        if self.progress_window_us is not None:
+            _check_int("progress_window_us", self.progress_window_us, lo=1)
         for workload in self.workloads:
             workload._validate(self.ndisks)
         for burst in self.bursts:
@@ -182,13 +222,8 @@ class ScenarioSpec:
         faults: List[FaultEvent],
     ) -> "ScenarioSpec":
         """The same machine with a different (sub)set of events."""
-        return ScenarioSpec(
-            seed=self.seed,
-            ncpus=self.ncpus,
-            memory_mb=self.memory_mb,
-            ndisks=self.ndisks,
-            scheme=self.scheme,
-            horizon_us=self.horizon_us,
+        return replace(
+            self,
             workloads=list(workloads),
             bursts=list(bursts),
             faults=FaultPlan(list(faults)),
@@ -202,15 +237,12 @@ class ScenarioSpec:
         horizon_us: Optional[int] = None,
     ) -> "ScenarioSpec":
         """The same events on a resized machine (shrinking's second axis)."""
-        return ScenarioSpec(
-            seed=self.seed,
+        return replace(
+            self,
             ncpus=self.ncpus if ncpus is None else ncpus,
             memory_mb=self.memory_mb if memory_mb is None else memory_mb,
             ndisks=self.ndisks if ndisks is None else ndisks,
-            scheme=self.scheme,
             horizon_us=self.horizon_us if horizon_us is None else horizon_us,
-            workloads=list(self.workloads),
-            bursts=list(self.bursts),
             faults=FaultPlan(list(self.faults.events)),
         )
 
@@ -224,7 +256,7 @@ class ScenarioSpec:
     # --- JSON round-trip ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        record: Dict[str, Any] = {
             "format": SCENARIO_FORMAT,
             "seed": self.seed,
             "ncpus": self.ncpus,
@@ -248,6 +280,11 @@ class ScenarioSpec:
             ],
             "faults": self.faults.to_dicts(),
         }
+        # Emitted only when set, so scenarios without an override keep
+        # the fingerprints (and journals) they had before the field.
+        if self.progress_window_us is not None:
+            record["progress_window_us"] = self.progress_window_us
+        return record
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -291,8 +328,9 @@ class ScenarioSpec:
                 workloads=workloads,
                 bursts=bursts,
                 faults=faults,
+                progress_window_us=record.get("progress_window_us"),
             )
-        except (ChaosPlanError, FaultPlanError) as exc:
+        except FaultPlanError as exc:
             raise ScenarioError(str(exc)) from None
 
     @classmethod

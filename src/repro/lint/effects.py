@@ -56,7 +56,7 @@ from repro.lint.summaries import (
 #: framework).
 SIM_PACKAGES: Tuple[str, ...] = (
     "sim", "kernel", "cpu", "mem", "disk", "fs", "net", "core",
-    "chaos", "faults", "antagonists", "workloads", "experiments",
+    "faults", "antagonists", "workloads", "experiments",
     "metrics", "api", "snapshot", "fuzz",
 )
 

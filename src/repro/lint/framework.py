@@ -33,7 +33,7 @@ from repro.lint.finding import Finding, Rule
 #: wall clocks and environment variables freely.
 SIM_SCOPE: Tuple[str, ...] = (
     "sim", "kernel", "cpu", "mem", "disk", "fs", "net", "core",
-    "chaos", "faults", "antagonists", "workloads", "experiments",
+    "faults", "antagonists", "workloads", "experiments",
     "metrics", "api", "snapshot", "fuzz",
 )
 

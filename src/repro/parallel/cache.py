@@ -5,9 +5,9 @@ payload** — that is the determinism contract the executor's
 serial-vs-parallel byte-identity gate enforces — so a cell whose
 payload, callable, and *code* are byte-identical to a previously
 recorded run must produce the byte-identical result.  The cache turns
-that contract into wall clock: re-running ``python -m repro bench``, a
-fuzz campaign, or a chaos soak skips every cell the store already
-holds.
+that contract into wall clock: re-running ``python -m repro bench`` or
+a fuzz campaign (chaos profile included) skips every cell the store
+already holds.
 
 **Key derivation.**  A cell's key is::
 

@@ -1,8 +1,8 @@
 """A multiprocessing sweep executor for independent simulation runs.
 
 Every figure and table in the paper's evaluation is a sweep of
-independent (scheme, workload, seed) simulations, and the chaos soak is
-a sweep of independent seeds — embarrassingly parallel work that the
+independent (scheme, workload, seed) simulations, and a fuzz campaign
+is a sweep of independent seeds — embarrassingly parallel work that the
 serial runner used to grind through one cell at a time.  The
 :class:`Executor` (configured by a :class:`SweepPlan`) fans such cells
 across worker processes while keeping the *results* exactly what the

@@ -2,15 +2,15 @@
 
 Before this module existed, every :meth:`repro.parallel.Executor.run`
 forked a fresh set of worker processes and tore them down at the end —
-one fork cost per *stage*, paid again by every bench stage, every fuzz
-shard, and every chaos soak in the same process.  A
+one fork cost per *stage*, paid again by every bench stage and every
+fuzz shard in the same process.  A
 :class:`WorkerPool` decouples worker lifetime from sweep lifetime:
 
 * **Function-per-batch protocol.**  Workers no longer bind the sweep
   callable at fork time; each batch message carries the callable
   (pickled by reference — it must stay a module-level function) along
   with its cells, so one pool serves ``run_experiment`` cells, fleet
-  records, chaos seeds, and fuzz scenarios back to back.
+  records, and fuzz scenarios of every profile back to back.
 * **Leases.**  A run asks for ``lease(n)`` and operates on the first
   ``n`` workers; the pool may hold more (sized once for the largest
   stage).  Replacements for crashed/retired workers happen through the

@@ -28,8 +28,8 @@ the failing event is still on the stack.
 Enable it with ``REPRO_SIMSAN=1`` (any of ``1/true/yes/on``); the
 kernel installs it at :meth:`~repro.kernel.kernel.Kernel.boot`.
 ``REPRO_SIMSAN_EVERY=N`` runs the full suite every N events instead of
-every event (the time check always runs), which keeps the chaos soak
-affordable on big runs.  Tests and tools can also install it directly::
+every event (the time check always runs), which keeps long fuzz
+campaigns affordable on big runs.  Tests and tools can also install it directly::
 
     from repro.sanitizer import SimSanitizer
     san = SimSanitizer(kernel)

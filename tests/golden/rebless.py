@@ -5,8 +5,8 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/rebless.py
 
 It recomputes every record, rewrites ``records.json`` next to this file
-and prints each experiment/seed and fuzz seed whose digest or verdict
-changed.  Re-blessing is how a change that moves result bytes on
+and prints each experiment/seed, fuzz seed and chaos-profile seed whose
+digest or verdict changed.  Re-blessing is how a change that moves result bytes on
 purpose says so: every rebless needs a CHANGES.md entry that gives the
 reason the bytes moved.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable
 
 from repro.api import ExperimentSpec, names, run_experiment
-from repro.fuzz.generate import generate_scenario
+from repro.fuzz.generate import generate_chaos_scenario, generate_scenario
 from repro.fuzz.runner import run_scenario
 
 #: Where the pinned records live.
@@ -33,6 +33,11 @@ EXPERIMENT_SEEDS = (0, 1)
 FUZZ_SEEDS = tuple(range(10))
 FUZZ_HORIZON_US = 2_000_000
 
+#: Chaos-profile scenarios pinned the same way: the CI SIMSAN chaos
+#: soak's seeds and horizon.
+CHAOS_SEEDS = tuple(range(5))
+CHAOS_HORIZON_US = 1_500_000
+
 
 def experiment_digest(name: str, seed: int) -> str:
     """sha256 of one experiment's canonical JSON."""
@@ -44,6 +49,14 @@ def fuzz_record(seed: int) -> Dict[str, str]:
     """Journal digest and verdict of one generated fuzz scenario."""
     result = run_scenario(
         generate_scenario(seed, horizon_us=FUZZ_HORIZON_US), simsan=True
+    )
+    return {"digest": result.digest(), "verdict": result.verdict}
+
+
+def chaos_record(seed: int) -> Dict[str, str]:
+    """Journal digest and verdict of one chaos-profile scenario."""
+    result = run_scenario(
+        generate_chaos_scenario(seed, horizon_us=CHAOS_HORIZON_US), simsan=True
     )
     return {"digest": result.digest(), "verdict": result.verdict}
 
@@ -62,6 +75,11 @@ def compute_records() -> Dict[str, Any]:
             "simsan": True,
             "scenarios": {str(seed): fuzz_record(seed) for seed in FUZZ_SEEDS},
         },
+        "chaos": {
+            "horizon_us": CHAOS_HORIZON_US,
+            "simsan": True,
+            "scenarios": {str(seed): chaos_record(seed) for seed in CHAOS_SEEDS},
+        },
     }
 
 
@@ -79,11 +97,13 @@ def changed(old: Dict[str, Any], new: Dict[str, Any]) -> Iterable[str]:
             after = new_exp.get(name, {}).get(seed)
             if before != after:
                 yield f"experiment {name} seed {seed}: {before} -> {after}"
-    old_fuzz = old.get("fuzz", {}).get("scenarios", {})
-    new_fuzz = new["fuzz"]["scenarios"]
-    for seed in sorted(set(old_fuzz) | set(new_fuzz), key=int):
-        if old_fuzz.get(seed) != new_fuzz.get(seed):
-            yield f"fuzz seed {seed}: {old_fuzz.get(seed)} -> {new_fuzz.get(seed)}"
+    for section in ("fuzz", "chaos"):
+        before = old.get(section, {}).get("scenarios", {})
+        after = new[section]["scenarios"]
+        for seed in sorted(set(before) | set(after), key=int):
+            if before.get(seed) != after.get(seed):
+                yield (f"{section} seed {seed}:"
+                       f" {before.get(seed)} -> {after.get(seed)}")
 
 
 def main() -> int:

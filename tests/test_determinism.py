@@ -52,12 +52,12 @@ def test_memory_experiment_replays_exactly():
 def test_chaos_journal_replays_byte_identical():
     # The chaos journal is the replay contract: the same seed must
     # produce the same plan, the same run, and the same journal text.
-    from repro.chaos import generate_plan, run_chaos
+    from repro.fuzz import generate_chaos_scenario, run_scenario
     from repro.sim.units import MSEC
 
     def journal(seed):
-        plan = generate_plan(seed, horizon_us=1500 * MSEC)
-        return "\n".join(run_chaos(plan).journal)
+        scenario = generate_chaos_scenario(seed, horizon_us=1500 * MSEC)
+        return "\n".join(run_scenario(scenario).journal)
 
     assert journal(5) == journal(5)
     assert journal(5) != journal(6)

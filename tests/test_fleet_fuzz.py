@@ -93,7 +93,7 @@ class TestFleetCampaign:
             horizon_us=200 * MSEC,
             simsan=True,
             shard_size=4,
-            fleet=True,
+            profile="fleet",
         )
         report = run_campaign(cfg)
         assert report.ran == 8
@@ -106,12 +106,12 @@ class TestFleetCampaign:
         seeds = list(range(6))
         serial = CampaignConfig(
             seeds=seeds, corpus_path=str(tmp_path / "s.jsonl"),
-            horizon_us=200 * MSEC, fleet=True,
+            horizon_us=200 * MSEC, profile="fleet",
         )
         run_campaign(serial)
         parallel = CampaignConfig(
             seeds=seeds, corpus_path=str(tmp_path / "p.jsonl"),
-            horizon_us=200 * MSEC, fleet=True,
+            horizon_us=200 * MSEC, profile="fleet",
             workers=2, differential=True,
         )
         report = run_campaign(parallel)

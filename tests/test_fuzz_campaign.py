@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.fuzz.campaign import (
+    PROFILE_CELLS,
     CampaignConfig,
     CampaignError,
     load_corpus,
@@ -13,6 +14,7 @@ from repro.fuzz.campaign import (
     run_campaign,
 )
 from repro.fuzz.runner import ENV_PLANT
+from repro.parallel import SweepCache
 from repro.sim.units import MSEC
 
 HORIZON = 500 * MSEC
@@ -105,6 +107,29 @@ class TestCampaign:
     def test_duplicate_seeds_are_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="unique"):
             run_campaign(config(tmp_path, [1, 1]))
+
+    def test_unknown_profile_is_rejected(self, tmp_path):
+        with pytest.raises(CampaignError, match="profile"):
+            run_campaign(config(tmp_path, [1], profile="meteor"))
+
+    def test_each_profile_has_its_own_cache_key(self, tmp_path):
+        # The payload is the same for every profile, so the profile must
+        # reach the sweep-cache key through the cell function.
+        cache = SweepCache(str(tmp_path))
+        payload = (3, HORIZON, True)
+        keys = {cache.key_for(fn, payload) for fn in PROFILE_CELLS.values()}
+        assert len(keys) == len(PROFILE_CELLS) == 3
+
+    def test_chaos_profile_records_differ_from_scenario_records(self, tmp_path):
+        scenario = config(tmp_path, [0, 1], corpus_path=str(tmp_path / "s.jsonl"))
+        chaos = config(tmp_path, [0, 1], corpus_path=str(tmp_path / "c.jsonl"),
+                       profile="chaos")
+        assert run_campaign(scenario).ok and run_campaign(chaos).ok
+        prints = [
+            {r["fingerprint"] for r in load_corpus(cfg.corpus_path)}
+            for cfg in (scenario, chaos)
+        ]
+        assert prints[0].isdisjoint(prints[1])
 
     def test_resume_skips_recorded_seeds(self, tmp_path):
         cfg = config(tmp_path, list(range(6)))

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.chaos.plan import AntagonistBurst
 from repro.faults.plan import FaultPlan
 from repro.fuzz.runner import (
     ENV_PLANT,
     SCHEME_PROGRESS_DIVISOR,
+    progress_window,
     run_record,
     run_scenario,
 )
-from repro.fuzz.scenario import SCHEMES, ScenarioSpec, WorkloadSpec
+from repro.fuzz.scenario import SCHEMES, AntagonistBurst, ScenarioSpec, WorkloadSpec
 from repro.sim.units import MSEC
 
 
@@ -56,6 +56,25 @@ class TestCleanRuns:
         for scheme in SCHEMES:
             result = run_scenario(scenario_with(scheme=scheme))
             assert result.ok, (scheme, result.violations)
+
+
+class TestProgressWindow:
+    def test_scheme_divisor_sets_the_default_window(self):
+        assert progress_window(scenario_with(scheme="piso")) == 100 * MSEC
+        assert progress_window(scenario_with(scheme="quo")) == 200 * MSEC
+        assert progress_window(scenario_with(scheme="smp")) is None
+
+    def test_override_replaces_the_scheme_window(self):
+        for scheme in SCHEMES:
+            scenario = scenario_with(scheme=scheme, progress_window_us=7 * MSEC)
+            assert progress_window(scenario) == 7 * MSEC
+
+    def test_override_reaches_the_oracle(self):
+        # The victim checkpoints about every 5 ms, so a 1 ms window must
+        # flag empty windows even on SMP, which has no bound of its own.
+        assert run_scenario(scenario_with(scheme="smp")).ok
+        tight = run_scenario(scenario_with(scheme="smp", progress_window_us=MSEC))
+        assert {v.name for v in tight.violations} == {"victim-progress"}
 
 
 class TestPlantedBug:

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.chaos.plan import AntagonistBurst
 from repro.faults.plan import DiskFailure, DiskTransient, FaultPlan
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.scenario import (
@@ -13,6 +12,7 @@ from repro.fuzz.scenario import (
     NDISKS_RANGE,
     SCHEMES,
     WORKLOAD_KINDS,
+    AntagonistBurst,
     ScenarioError,
     ScenarioSpec,
     WorkloadSpec,
@@ -81,6 +81,32 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="ndisks"):
             small_scenario(ndisks=NDISKS_RANGE[1] + 1)
 
+    @pytest.mark.parametrize("burst, message", [
+        (AntagonistBurst(0, "nuke"), "unknown antagonist"),
+        (AntagonistBurst(0, "fork_bomb", scale=-1), "scale"),
+        (AntagonistBurst(0, "fork_bomb", scale=0), "scale"),
+        (AntagonistBurst(-5, "fork_bomb"), "before boot"),
+    ], ids=["unknown-kind", "negative-scale", "zero-scale", "before-boot"])
+    def test_rejects_bad_bursts(self, burst, message):
+        with pytest.raises(ScenarioError, match=message):
+            small_scenario(bursts=[burst])
+
+    @pytest.mark.parametrize("burst", [
+        AntagonistBurst(float("nan"), "fork_bomb"),
+        AntagonistBurst(0, "fork_bomb", scale=float("nan")),
+        AntagonistBurst(0, "fork_bomb", scale=float("inf")),
+    ], ids=["nan-at_us", "nan-scale", "inf-scale"])
+    def test_rejects_non_finite_bursts(self, burst):
+        # NaN slips past ordinary range checks (every comparison is
+        # False), so bursts check finiteness explicitly.
+        with pytest.raises(ScenarioError, match="finite"):
+            small_scenario(bursts=[burst])
+
+    def test_rejects_bad_progress_window(self):
+        for window in (0, -1, float("nan"), 1.5):
+            with pytest.raises(ScenarioError, match="progress_window_us"):
+                small_scenario(progress_window_us=window)
+
     def test_rejects_excessive_intensity(self):
         with pytest.raises(ScenarioError, match="intensity"):
             small_scenario(
@@ -116,6 +142,17 @@ class TestRoundTrip:
         with pytest.raises(ScenarioError, match="finite"):
             ScenarioSpec.from_dict(record)
 
+    def test_progress_window_is_emitted_only_when_set(self):
+        # Scenarios without the override keep the fingerprints they had
+        # before the field existed (the golden fuzz records pin them).
+        plain = small_scenario()
+        assert "progress_window_us" not in plain.to_dict()
+        windowed = small_scenario(progress_window_us=250 * MSEC)
+        assert windowed.to_dict()["progress_window_us"] == 250 * MSEC
+        assert windowed.fingerprint() != plain.fingerprint()
+        rebuilt = ScenarioSpec.from_json(windowed.to_json())
+        assert rebuilt.progress_window_us == 250 * MSEC
+
     def test_fingerprint_tracks_content(self):
         a = small_scenario()
         b = small_scenario(seed=2)
@@ -130,6 +167,13 @@ class TestDerivedForms:
         assert (stripped.ncpus, stripped.memory_mb, stripped.ndisks) == (
             scenario.ncpus, scenario.memory_mb, scenario.ndisks
         )
+
+    def test_replace_keeps_the_progress_window(self):
+        scenario = small_scenario(progress_window_us=250 * MSEC)
+        assert scenario.replace_events([], [], []).progress_window_us \
+            == 250 * MSEC
+        assert scenario.replace_machine(ncpus=1).progress_window_us \
+            == 250 * MSEC
 
     def test_replace_machine_revalidates(self):
         scenario = small_scenario()

@@ -5,8 +5,9 @@ Every other equivalence test compares two paths *within one commit*
 path the same way -- a buffer cache that picks a different LRU victim,
 say -- passes them all.  These tests compare against
 ``tests/golden/records.json``: the sha256 of every registered
-experiment's canonical JSON at seeds 0 and 1, and the journal digest
-and verdict of fuzz scenarios 0-9 (2000 ms horizon, SIMSAN on).  CI runs
+experiment's canonical JSON at seeds 0 and 1, the journal digest and
+verdict of fuzz scenarios 0-9 (2000 ms horizon, SIMSAN on), and the
+same for chaos-profile scenarios 0-4 (1500 ms horizon, SIMSAN on).  CI runs
 them on every interpreter in its matrix, so they also assert that the
 results match across interpreters.
 
@@ -25,9 +26,12 @@ import repro.fs.layout
 import repro.net.packet
 from repro.api import names
 from tests.golden.rebless import (
+    CHAOS_HORIZON_US,
+    CHAOS_SEEDS,
     EXPERIMENT_SEEDS,
     FUZZ_HORIZON_US,
     FUZZ_SEEDS,
+    chaos_record,
     experiment_digest,
     fuzz_record,
     load_records,
@@ -56,6 +60,12 @@ def test_fuzz_settings_match_the_pins():
     fuzz = GOLDEN["fuzz"]
     assert fuzz["horizon_us"] == FUZZ_HORIZON_US and fuzz["simsan"] is True
     assert sorted(fuzz["scenarios"], key=int) == [str(s) for s in FUZZ_SEEDS]
+
+
+def test_chaos_settings_match_the_pins():
+    chaos = GOLDEN["chaos"]
+    assert chaos["horizon_us"] == CHAOS_HORIZON_US and chaos["simsan"] is True
+    assert sorted(chaos["scenarios"], key=int) == [str(s) for s in CHAOS_SEEDS]
 
 
 @pytest.mark.parametrize("name", names())
@@ -143,4 +153,11 @@ def test_file_ids_do_not_reach_the_results(monkeypatch, name):
 def test_fuzz_scenario_matches_golden(seed):
     assert fuzz_record(seed) == GOLDEN["fuzz"]["scenarios"][str(seed)], (
         f"fuzz seed {seed}: {REBLESS_HINT}"
+    )
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_chaos_scenario_matches_golden(seed):
+    assert chaos_record(seed) == GOLDEN["chaos"]["scenarios"][str(seed)], (
+        f"chaos seed {seed}: {REBLESS_HINT}"
     )

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SPURegistry, piso_scheme, quota_scheme, smp_scheme
 from repro.mem import MemoryManager
@@ -140,3 +141,65 @@ class TestVictimSelection:
     def test_no_victims_when_nobody_holds(self):
         _reg, manager, (a, _b) = build(smp_scheme())
         assert manager.victim_spu(a.spu_id) is None
+
+
+# --- bulk path against the per-page reference --------------------------------
+
+#: Each step draws every argument; an op uses the ones it takes.  The
+#: SPU index picks among two user SPUs, the kernel SPU and the shared
+#: SPU (the last two are never capped).
+BULK_OPS = st.tuples(
+    st.sampled_from(("alloc", "alloc", "free", "allowed")),
+    st.integers(0, 3),
+    st.integers(0, 40),
+)
+
+
+def twin_spus(registry, spus):
+    return list(spus) + [registry.kernel_spu, registry.shared_spu]
+
+
+@given(limits=st.booleans(), ops=st.lists(BULK_OPS, min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_bulk_calls_match_single_page_calls(limits, ops):
+    """``try_allocate_n``/``free_n`` against ``n`` single calls on a twin.
+
+    The twins start identical (PIso or SMP, 100 pages, 10 kernel pages,
+    user entitlement 5 so a PIso cap can shrink towards it).  After
+    every step both machines must hold the same free pool and per-SPU
+    usage, and grant the same number of pages.  The bulk call records
+    no denial; the per-page loop records the one its first failure
+    costs.
+    """
+    scheme = piso_scheme() if limits else smp_scheme()
+    twins = []
+    for _ in range(2):
+        registry, manager, spus = build(scheme)
+        for spu in spus:
+            spu.memory().set_entitled(5)
+            spu.memory().set_allowed(40 if limits else manager.total_pages)
+        twins.append((manager, twin_spus(registry, spus)))
+    (bulk, bulk_spus), (single, single_spus) = twins
+
+    for op, index, n in ops:
+        a, b = bulk_spus[index], single_spus[index]
+        if op == "alloc":
+            granted = bulk.try_allocate_n(a.spu_id, n)
+            expected = 0
+            while expected < n and single.try_allocate(b.spu_id):
+                expected += 1
+            assert granted == expected
+        elif op == "free":
+            n = min(n, a.memory().used)
+            bulk.free_n(a.spu_id, n)
+            for _ in range(n):
+                single.free(b.spu_id)
+        elif limits and a.is_user:
+            # Shrink (or grow) the cap, never below entitled or used.
+            value = max(a.memory().entitled, a.memory().used, n)
+            a.memory().set_allowed(value)
+            b.memory().set_allowed(value)
+        assert bulk.free_pages == single.free_pages
+        assert [s.memory().used for s in bulk_spus] == \
+            [s.memory().used for s in single_spus]
+        assert bulk.denials == {} and bulk.total_denials == {}

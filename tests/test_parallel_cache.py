@@ -217,18 +217,20 @@ def test_cached_experiments_are_byte_identical_to_cold(tmp_path):
 
 
 def test_cached_soak_journals_are_byte_identical_to_cold(tmp_path):
-    from repro.chaos.soak import run_soak
+    # The chaos soak's cells are the chaos profile's campaign cells;
+    # each record carries its run's journal digest.
+    from repro.fuzz.campaign import PROFILE_CELLS
 
-    seeds = [0, 1]
-    cold = run_soak(seeds, horizon_us=200_000)
-    cached_cold = run_soak(
-        seeds, horizon_us=200_000, cache=True, cache_dir=str(tmp_path)
-    )
-    warm = run_soak(
-        seeds, horizon_us=200_000, cache=True, cache_dir=str(tmp_path)
-    )
-    assert [r.journal for r in cached_cold] == [r.journal for r in cold]
-    assert [r.journal for r in warm] == [r.journal for r in cold]
+    cell = PROFILE_CELLS["chaos"]
+    payloads = [(seed, 200_000, None) for seed in (0, 1)]
+    cold = [cell(p) for p in payloads]
+    plan = SweepPlan(max_workers=1, cache=True, cache_dir=str(tmp_path))
+    cached_cold = values(Executor(plan).run(cell, payloads))
+    warm_exec = Executor(plan)
+    warm = values(warm_exec.run(cell, payloads))
+    assert warm_exec.stats.cache_hits == len(payloads)
+    assert cached_cold == cold
+    assert warm == cold
 
 
 # --- function-precise closure digests ---------------------------------------

@@ -3,10 +3,10 @@ that enabling the sanitizer never changes simulated behaviour."""
 
 import pytest
 
-from repro.chaos import generate_plan, run_chaos
 from repro.core import piso_scheme
 from repro.disk.drive import SpuBandwidthLedger
 from repro.disk.model import fast_disk
+from repro.fuzz import generate_chaos_scenario, run_scenario
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, WriteFile
 from repro.sanitizer import (
     ENV_ENABLE,
@@ -141,8 +141,7 @@ class TestCorruptionDetection:
             san.check()
 
     def test_free_list_leak(self):
-        # The chaos suite's sabotage_page_leak shape: total grows while
-        # the books do not.
+        # A free-list leak: total grows while the books do not.
         san = self.corrupted(lambda k, s: setattr(
             k.memory, "total_pages", k.memory.total_pages + 50
         ))
@@ -225,8 +224,8 @@ class TestBehaviourUnchanged:
     def test_chaos_journal_identical_with_simsan(self, monkeypatch):
         horizon = 200 * MSEC
         monkeypatch.delenv(ENV_ENABLE, raising=False)
-        plain = run_chaos(generate_plan(seed=3, horizon_us=horizon))
+        plain = run_scenario(generate_chaos_scenario(3, horizon_us=horizon))
         monkeypatch.setenv(ENV_ENABLE, "1")
-        sanitized = run_chaos(generate_plan(seed=3, horizon_us=horizon))
+        sanitized = run_scenario(generate_chaos_scenario(3, horizon_us=horizon))
         assert sanitized.ok, sanitized.violations
         assert sanitized.journal == plain.journal

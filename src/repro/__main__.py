@@ -11,7 +11,7 @@ Subcommands:
   fleets instead);
 * ``chaos`` — the chaos soak, an alias for ``fuzz --profile chaos``
   (``python -m repro chaos --seeds 0 1 2 --horizon-ms 3000``);
-* ``bench`` — the performance harness that writes
+* ``bench`` — the serial-vs-parallel sweep gates, which write
   ``BENCH_parallel.json`` (``python -m repro bench --quick``);
 * ``fleet`` — the fleet failover smoke gate: a seeded multi-machine
   run with one whole-machine crash, checked for conservation

@@ -1,46 +1,39 @@
-"""The performance harness behind ``python -m repro.bench``.
+"""The gates behind ``python -m repro.bench``.
 
-Four measurements, one JSON artifact (``BENCH_parallel.json``,
-schema ``repro.bench/4``):
+One JSON artifact (``BENCH_parallel.json``, schema ``repro.bench/5``)
+from three stages, each of which checks a determinism contract:
 
-* **hot path** — events/sec through the simulator core, over two fixed
-  probes that stress opposite regimes:
-
-  - ``pmake8`` — the Pmake8 unbalanced placement under SMP and PIso:
-    batch work, every event does real kernel/scheduler/disk work.
-  - ``interactive`` — four think/burst interactive users under PIso:
-    long idle periods where the clock tick dominates, the regime the
-    engine's idle fast-forward elides (elided ticks count as executed
-    events — the simulated timeline is identical either way).
-
-  Each probe carries its own pre-optimisation baseline; the headline
-  ``events_per_sec`` is total events over total seconds across both.
-* **per-experiment wall clock** — serial seconds for each registered
-  experiment.
-* **sweep scaling** — the experiment sweep run serially and through
+* **serial sweep** — every registered experiment run serially; its
+  total wall clock (``serial_seconds``) is the base of the speedup
+  gate, and a short sha256 digest of each experiment's canonical
+  records is recorded.
+* **sweep scaling** — the same sweep through
   :class:`repro.parallel.Executor` at increasing worker counts, with a
   byte-identity check (canonical JSON of every experiment's records)
   between the serial and parallel results, and the executor's own
   stage attribution (dispatch vs compute vs merge seconds) recorded
   per worker count.  Any result divergence is a determinism bug and
-  fails the bench.
+  fails the bench; so does a 4-worker speedup below ``--min-speedup``
+  on a host with at least 4 CPUs.
 * **fleet failover cells** — the smoke fleet (one whole-machine crash,
   SLO failover) per scheme, run in-process and through the sweep
   executor, with the same byte-identity requirement on the records.
 
-All sweep-shaped stages (experiment sweep scaling, fleet cells) share
-one persistent :class:`repro.parallel.WorkerPool`, so the bench pays
-the fork cost once instead of once per stage; with ``--cache`` every
-sweep cell is first looked up in the content-addressed sweep cache
+Both parallel stages share one persistent
+:class:`repro.parallel.WorkerPool`, so the bench pays the fork cost
+once instead of once per stage; with ``--cache`` every sweep cell is
+first looked up in the content-addressed sweep cache
 (:class:`repro.parallel.SweepCache`), making a *warm* re-run skip all
 experiment and fleet computation while producing byte-identical
-records.  The hot-path probes always run — they *are* the measurement.
+digests.
 
-Besides the four measurements the artifact records ``stages``
-(per-stage wall seconds), ``cache`` (hit/miss counts, ``hit_ratio``),
-``pool`` (processes forked, sweeps served) and a short sha256 digest of
-each experiment's canonical records.  Schema ``/4`` dropped the fields
-that said how sweep results travelled; the worker pipe carries them all.
+Besides the gates the artifact records ``stages`` (per-stage wall
+seconds), ``cache`` (hit/miss counts, ``hit_ratio``) and ``pool``
+(processes forked, sweeps served).  Simulator speed is measured
+elsewhere: ``perfbench/`` times the serial reproduction and the fuzz
+campaign with interleaved A/B runs.  Schema ``/5`` dropped the
+hot-path probes with their fixed events/s baselines, the per-figure
+timings and the cache's closure-key counts.
 
 Wall-clock numbers are hardware-dependent by nature; the JSON records
 the host's CPU count alongside them so trajectories are only compared
@@ -55,37 +48,8 @@ import platform
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.api import (
-    ExperimentSpec,
-    SimulationSpec,
-    SpuSpec,
-    build,
-    names,
-    run_experiment,
-)
-from repro.core.schemes import piso_scheme, smp_scheme
-from repro.parallel import (
-    Executor,
-    SweepCache,
-    SweepPlan,
-    WorkerPool,
-    closure_stats,
-    values,
-)
-
-#: Per-probe events/sec measured on the pre-optimisation tree (1-CPU
-#: container, CPython 3.11): best of 3 on the same probe definitions.
-#: ``pmake8`` predates the calendar-queue engine (commit df5f0a7);
-#: ``interactive`` was measured on the binary-heap tree the day the
-#: probe was added.  The probes are deterministic — only the wall
-#: clock under them changes.
-BASELINES_EVENTS_PER_SEC = {
-    "pmake8": 43263,
-    "interactive": 65978,
-}
-
-#: Kept for v1 consumers: the original (pmake8) baseline.
-BASELINE_EVENTS_PER_SEC = BASELINES_EVENTS_PER_SEC["pmake8"]
+from repro.api import ExperimentSpec, names, run_experiment
+from repro.parallel import Executor, SweepCache, SweepPlan, WorkerPool, values
 
 #: Worker counts the sweep-scaling stage measures.
 SCALING_WORKERS = (2, 4)
@@ -95,119 +59,15 @@ SCALING_WORKERS = (2, 4)
 MIN_SPEEDUP = 1.2
 
 
-def _pmake_probe(seed: int = 0) -> int:
-    """Batch probe; returns events executed (a fixed, seed-pure count)."""
-    from repro.experiments.pmake8 import DEFAULT_PMAKE, LIGHT_SPUS, N_SPUS
-    from repro.workloads.pmake import create_pmake_files, pmake_job
-
-    events = 0
-    for scheme in (smp_scheme(), piso_scheme()):
-        sim = build(SimulationSpec(
-            ncpus=8,
-            memory_mb=44,
-            scheme=scheme,
-            spus=[SpuSpec(f"user{i + 1}", swap_mount=i) for i in range(N_SPUS)],
-            disks=N_SPUS,
-            seed=seed,
-        ))
-        for i, spu in enumerate(sim.spus):
-            njobs = 1 if i in LIGHT_SPUS else 2
-            for j in range(njobs):
-                files = create_pmake_files(
-                    sim.fs, mount=i, params=DEFAULT_PMAKE,
-                    job_name=f"spu{i + 1}-job{j}",
-                )
-                sim.spawn(
-                    pmake_job(files, DEFAULT_PMAKE), spu,
-                    name=f"pmake-spu{i + 1}-{j}",
-                )
-        events += sim.run()
-    return events
-
-
-def _interactive_probe(seed: int = 0) -> int:
-    """Tick-dominated probe: mostly-idle interactive users.
-
-    With 200 ms of think time between half-millisecond bursts, clock
-    ticks outnumber useful events ~20:1 — the idle fast-forward elides
-    the tick runs (counting them as executed), so this probe tracks
-    the optimisation the batch probe cannot see.
-    """
-    from repro.workloads.interactive import InteractiveParams, interactive_user
-
-    sim = build(SimulationSpec(
-        ncpus=4,
-        memory_mb=32,
-        scheme=piso_scheme(),
-        spus=[SpuSpec(f"user{i + 1}") for i in range(4)],
-        disks=1,
-        seed=seed,
-    ))
-    params = InteractiveParams(bursts=6000, think_ms=200.0, burst_ms=0.5)
-    for i, spu in enumerate(sim.spus):
-        sim.spawn(interactive_user(params), spu, name=f"int{i}")
-    return sim.run()
-
-
-_PROBES = {
-    "pmake8": _pmake_probe,
-    "interactive": _interactive_probe,
-}
-
-
-def bench_hot_path(reps: int = 3, seed: int = 0) -> Dict[str, Any]:
-    """Best-of-``reps`` events/sec per probe, plus the combined headline."""
-    probes: Dict[str, Any] = {}
-    total_events = 0
-    total_s = 0.0
-    for name, probe in _PROBES.items():
-        best_s = float("inf")
-        events = 0
-        for _ in range(reps):
-            start = time.perf_counter()
-            events = probe(seed=seed)
-            best_s = min(best_s, time.perf_counter() - start)
-        rate = events / best_s
-        baseline = BASELINES_EVENTS_PER_SEC[name]
-        probes[name] = {
-            "events": events,
-            "seconds": round(best_s, 4),
-            "events_per_sec": round(rate, 1),
-            "baseline_events_per_sec": baseline,
-            "improvement_percent": round(100.0 * (rate / baseline - 1.0), 1),
-        }
-        total_events += events
-        total_s += best_s
-    combined = total_events / total_s
-    combined_baseline = round(
-        total_events / sum(
-            probes[n]["events"] / BASELINES_EVENTS_PER_SEC[n] for n in probes
-        ),
-        1,
-    )
-    return {
-        "probes": probes,
-        # v1-shaped flat fields, now describing the combined run.
-        "events": total_events,
-        "seconds": round(total_s, 4),
-        "events_per_sec": round(combined, 1),
-        "baseline_events_per_sec": combined_baseline,
-        "improvement_percent": round(
-            100.0 * (combined / combined_baseline - 1.0), 1
-        ),
-    }
-
-
 def bench_experiments(
     sections: List[str], seed: int = 0, cache: Optional[SweepCache] = None,
 ) -> Dict[str, Any]:
-    """Serial wall clock per experiment (also the serial sweep total).
+    """The serial sweep: canonical records, digests and total seconds.
 
     With a ``cache``, each cell is answered from the store when its
     (name, seed, code) key is present — the warm-run fast path — and
     recorded on a miss; the result bytes are identical either way.
     """
-    per_figure: Dict[str, Any] = {}
     canonical: Dict[str, str] = {}
     digests: Dict[str, str] = {}
     total = 0.0
@@ -222,12 +82,11 @@ def bench_experiments(
         result = values(outcomes)[0]
         hits += executor.stats.cache_hits
         total += elapsed
-        per_figure[name] = {"seconds": round(elapsed, 3)}
         canonical[name] = result.canonical_json()
         digests[name] = hashlib.sha256(
             canonical[name].encode("utf-8")
         ).hexdigest()[:16]
-    return {"per_figure": per_figure, "serial_seconds": round(total, 3),
+    return {"serial_seconds": round(total, 3),
             "canonical": canonical, "digests": digests, "cache_hits": hits}
 
 
@@ -330,7 +189,6 @@ def bench_fleet(
 def run_bench(
     quick: bool = False,
     seed: int = 0,
-    reps: Optional[int] = None,
     workers: tuple = SCALING_WORKERS,
     cache: bool = False,
     cache_dir: Optional[str] = None,
@@ -341,19 +199,14 @@ def run_bench(
     scaling ladder and the fleet cells) — the fork cost is paid once
     per bench, and ``pool.forks`` vs ``pool.runs_served`` in the
     payload shows the reuse.  ``cache=True`` opens the sweep cache and
-    threads it through every stage except the hot-path probes.
+    threads it through every stage.
     """
     sections = names(quick_only=quick)
-    reps = reps if reps is not None else (1 if quick else 3)
 
     sweep_cache = SweepCache(cache_dir) if cache else None
     pool = WorkerPool(max_workers=max(tuple(workers) + (2,)))
     stages: Dict[str, float] = {}
     try:
-        start = time.perf_counter()
-        hot = bench_hot_path(reps=reps, seed=seed)
-        stages["hot_path"] = round(time.perf_counter() - start, 3)
-
         start = time.perf_counter()
         serial = bench_experiments(sections, seed=seed, cache=sweep_cache)
         stages["experiments"] = round(time.perf_counter() - start, 3)
@@ -386,22 +239,16 @@ def run_bench(
             else 0.0,
         }
         cache_payload.update(cache_stats)
-        # How many key derivations used a function-precise closure
-        # digest vs the whole-tree fallback (see repro.parallel.cache).
-        cache_payload["closure"] = closure_stats()
     else:
         cache_payload = {"enabled": False, "hits": 0, "misses": 0,
-                         "errors": 0, "puts": 0, "hit_ratio": 0.0,
-                         "closure": {"precise": 0, "fallback": 0}}
+                         "errors": 0, "puts": 0, "hit_ratio": 0.0}
 
     return {
-        "schema": "repro.bench/4",
+        "schema": "repro.bench/5",
         "quick": quick,
         "seed": seed,
-        "hot_path": hot,
         "experiments": {
             "sections": sections,
-            "per_figure": serial["per_figure"],
             "serial_seconds": serial_s,
             "digests": serial["digests"],
             "cache_hits": serial["cache_hits"],
@@ -422,25 +269,10 @@ def run_bench(
 
 
 def format_report(payload: Dict[str, Any]) -> str:
-    hot = payload["hot_path"]
     lines = [
-        f"hot path: {hot['events_per_sec']:,.0f} events/s combined"
-        f" ({hot['events']} events in {hot['seconds']}s;"
-        f" baseline {hot['baseline_events_per_sec']:,.0f} ->"
-        f" {hot['improvement_percent']:+.1f}%)",
-    ]
-    for name, probe in hot.get("probes", {}).items():
-        lines.append(
-            f"  {name}: {probe['events_per_sec']:,.0f} events/s"
-            f" (baseline {probe['baseline_events_per_sec']:,} ->"
-            f" {probe['improvement_percent']:+.1f}%)"
-        )
-    lines.append(
         f"serial sweep: {payload['experiments']['serial_seconds']}s over"
         f" {len(payload['experiments']['sections'])} experiments"
-    )
-    for name, stats in payload["experiments"]["per_figure"].items():
-        lines.append(f"  {name}: {stats['seconds']}s")
+    ]
     for n, stats in payload["sweep"]["workers"].items():
         retried = stats.get("retried_cells", 0)
         lines.append(

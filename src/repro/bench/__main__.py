@@ -1,9 +1,9 @@
-"""``python -m repro.bench`` — measure, report, and archive performance.
+"""``python -m repro.bench`` — the sweep determinism and speedup gates.
 
-Writes ``BENCH_parallel.json`` (events/sec on the hot-path probes vs
-their checked-in baselines, per-experiment wall clock, sweep scaling
-with per-stage overhead) and exits 1 if the serial and parallel sweeps
-ever disagree on results, or — on a host with at least 4 CPUs — if the
+Writes ``BENCH_parallel.json`` (serial sweep seconds and record
+digests, sweep scaling with per-stage overhead, fleet failover cells)
+and exits 1 if the serial and parallel sweeps or fleet cells ever
+disagree on results, or — on a host with at least 4 CPUs — if the
 4-worker sweep speedup falls below ``--min-speedup``.  On smaller
 hosts the speedup gate prints a warning and is skipped: with fewer
 cores than workers there is no parallelism to measure, only
@@ -23,12 +23,12 @@ from repro.bench import MIN_SPEEDUP, SCALING_WORKERS, format_report, run_bench
 def main(argv: List[str] = sys.argv[1:]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench",
-        description="Benchmark the simulator hot path and the parallel"
-        " sweep executor; write BENCH_parallel.json.",
+        description="Check the parallel sweep executor against serial"
+        " runs (byte identity, speedup); write BENCH_parallel.json.",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="fast subset: quick experiments only, one hot-path rep",
+        help="fast subset: quick experiments only",
     )
     parser.add_argument(
         "--seed", type=int, default=0,

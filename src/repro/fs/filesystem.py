@@ -270,7 +270,7 @@ class FileSystem:
         last_block = (offset + nbytes - 1) // PAGE_SIZE
         blocks = list(range(first_block, last_block + 1))
 
-        def step(i: int) -> None:
+        def write_from(i: int) -> None:
             while i < len(blocks):
                 key = (file.file_id, blocks[i])
                 if self.cache.lookup(key, spu_id) is not None:
@@ -284,7 +284,7 @@ class FileSystem:
                     # cannot be hoisted out of the loop; each one is
                     # allocated at most once per blocked block.
                     index = i
-                    self._inflight[key].append(lambda: step(index))  # simlint: disable=SL402
+                    self._inflight[key].append(lambda: write_from(index))  # simlint: disable=SL402
                     return
                 if self.cache.insert(key, spu_id, dirty=True, now=self.engine.now):
                     i += 1
@@ -293,16 +293,16 @@ class FileSystem:
                 # writing through uncached.
                 index = i
                 if self.cache.dirty_blocks(spu_id):
-                    self.writeback.flush_spu(spu_id, on_done=lambda: step(index))  # simlint: disable=SL402
+                    self.writeback.flush_spu(spu_id, on_done=lambda: write_from(index))  # simlint: disable=SL402
                     return
                 if self.cache.dirty_blocks():
-                    self.writeback.flush_all(on_done=lambda: step(index))  # simlint: disable=SL402
+                    self.writeback.flush_all(on_done=lambda: write_from(index))  # simlint: disable=SL402
                     return
-                self._write_through(file, blocks[i], spu_id, pid, lambda: step(index + 1))  # simlint: disable=SL402
+                self._write_through(file, blocks[i], spu_id, pid, lambda: write_from(index + 1))  # simlint: disable=SL402
                 return
             self.engine.call_after(0, on_done)  # simlint: dynamic=continuation
 
-        step(0)
+        write_from(0)
 
     def _write_through(
         self, file: File, block: int, spu_id: int, pid: int, then: Callback

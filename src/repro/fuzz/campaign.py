@@ -7,8 +7,9 @@ Because each record is a pure function of ``(seed, horizon, simsan)``
 and lines are appended in seed order with an fsync per shard, the
 corpus doubles as the campaign's checkpoint: kill the campaign at any
 point, re-run it, and it repairs a torn final line, skips every seed
-already recorded, and converges on the byte-identical file an
-uninterrupted run would have written.
+already recorded with this campaign's scenario fingerprint, and
+converges on the byte-identical file an uninterrupted run would have
+written.
 
 Worker crashes and per-cell timeouts are absorbed twice over: the
 executor retries the cell once on a fresh worker (the
@@ -258,29 +259,31 @@ class CampaignReport:
 # --- the campaign ------------------------------------------------------------
 
 
-def _failure_record(seed: int, config: CampaignConfig, outcome) -> Dict[str, Any]:
-    """Corpus record for a cell the executor could not complete."""
-    fleet = config.profile == "fleet"
-    if fleet:
+def _expected_fingerprint(seed: int, config: CampaignConfig) -> str:
+    """The fingerprint this campaign's profile and horizon give ``seed``."""
+    if config.profile == "fleet":
         from repro.fuzz.fleet import fleet_fingerprint, generate_fleet_scenario
 
-        fingerprint = fleet_fingerprint(
+        return fleet_fingerprint(
             generate_fleet_scenario(seed, horizon_us=config.horizon_us)
         )
-    else:
-        fingerprint = SCENARIO_GENERATORS[config.profile](
-            seed, horizon_us=config.horizon_us
-        ).fingerprint()
+    return SCENARIO_GENERATORS[config.profile](
+        seed, horizon_us=config.horizon_us
+    ).fingerprint()
+
+
+def _failure_record(seed: int, config: CampaignConfig, outcome) -> Dict[str, Any]:
+    """Corpus record for a cell the executor could not complete."""
     record = {
         "seed": seed,
-        "fingerprint": fingerprint,
+        "fingerprint": _expected_fingerprint(seed, config),
         "verdict": outcome.status,
         "violations": [],
         "checkpoints": 0,
         "events": 0,
         "digest": "",
     }
-    if fleet:
+    if config.profile == "fleet":
         record["fleet"] = True
     return record
 
@@ -354,10 +357,24 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         )
     repair_corpus(config.corpus_path)
     existing = load_corpus(config.corpus_path)
+    # A stored record resumes its seed only if this campaign's profile
+    # and horizon draw the scenario it fingerprints; a record from any
+    # other campaign on the same corpus is re-run.  Fingerprints are
+    # drawn only for seeds the corpus holds, so a fresh corpus pays
+    # nothing.
     wanted = set(seeds)
-    done = {r["seed"] for r in existing}
+    expected: Dict[int, str] = {}
+    relevant = []
+    for r in existing:
+        seed = r["seed"]
+        if seed not in wanted:
+            continue
+        if seed not in expected:
+            expected[seed] = _expected_fingerprint(seed, config)
+        if r.get("fingerprint") == expected[seed]:
+            relevant.append(r)
+    done = {r["seed"] for r in relevant}
     pending = [s for s in seeds if s not in done]
-    relevant = [r for r in existing if r["seed"] in wanted]
     verdicts = Counter(r["verdict"] for r in relevant)
     failures = [r["seed"] for r in relevant if r["verdict"] == "violation"]
 

@@ -84,7 +84,8 @@ class WorkloadSpec:
     mount: int = 0
     intensity: int = 1
 
-    def _validate(self, ndisks: int) -> None:
+    def _validated(self, ndisks: int) -> "WorkloadSpec":
+        """This workload with its integer fields stored as ints."""
         if self.kind not in WORKLOAD_KINDS:
             raise ScenarioError(
                 f"unknown workload {self.kind!r};"
@@ -96,15 +97,16 @@ class WorkloadSpec:
             raise ScenarioError(
                 f"SPU name {self.spu!r} is reserved for the harness"
             )
-        _check_int("workload start_us", self.start_us, lo=0)
-        _check_int("workload intensity", self.intensity, lo=1)
-        if self.intensity > 4:
-            raise ScenarioError(f"intensity must be <= 4, got {self.intensity}")
+        start_us = _check_int("workload start_us", self.start_us, lo=0)
+        intensity = _check_int("workload intensity", self.intensity, lo=1)
+        if intensity > 4:
+            raise ScenarioError(f"intensity must be <= 4, got {intensity}")
         mount = _check_int("workload mount", self.mount, lo=0)
         if mount >= ndisks:
             raise ScenarioError(
                 f"workload mount {mount} outside machine with {ndisks} disk(s)"
             )
+        return replace(self, start_us=start_us, intensity=intensity, mount=mount)
 
 
 @dataclass(frozen=True)
@@ -159,24 +161,28 @@ class ScenarioSpec:
     progress_window_us: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_int("seed", self.seed, lo=0)
-        for name, value, (lo, hi) in (
-            ("ncpus", self.ncpus, NCPUS_RANGE),
-            ("memory_mb", self.memory_mb, MEMORY_MB_RANGE),
-            ("ndisks", self.ndisks, NDISKS_RANGE),
+        # Integral floats (a hand-edited ``2000000.0``) are stored as
+        # ints, so they fingerprint and print like the ints they equal.
+        self.seed = _check_int("seed", self.seed, lo=0)
+        for name, (lo, hi) in (
+            ("ncpus", NCPUS_RANGE),
+            ("memory_mb", MEMORY_MB_RANGE),
+            ("ndisks", NDISKS_RANGE),
         ):
-            _check_int(name, value, lo=lo)
+            value = _check_int(name, getattr(self, name), lo=lo)
             if value > hi:
                 raise ScenarioError(f"{name} must be <= {hi}, got {value}")
+            setattr(self, name, value)
         if self.scheme not in SCHEMES:
             raise ScenarioError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
-        _check_int("horizon_us", self.horizon_us, lo=1)
+        self.horizon_us = _check_int("horizon_us", self.horizon_us, lo=1)
         if self.progress_window_us is not None:
-            _check_int("progress_window_us", self.progress_window_us, lo=1)
-        for workload in self.workloads:
-            workload._validate(self.ndisks)
+            self.progress_window_us = _check_int(
+                "progress_window_us", self.progress_window_us, lo=1
+            )
+        workloads = [w._validated(self.ndisks) for w in self.workloads]
         for burst in self.bursts:
             burst._validate()
         for event in self.faults:
@@ -191,7 +197,7 @@ class ScenarioSpec:
                     "disk 0 is the failover target and may not die"
                 )
         self.workloads = sorted(
-            self.workloads, key=lambda w: (w.start_us, w.spu, w.kind)
+            workloads, key=lambda w: (w.start_us, w.spu, w.kind)
         )
         self.bursts = sorted(self.bursts, key=lambda b: (b.at_us, b.kind))
 

@@ -1,21 +1,14 @@
 """Deterministic discrete-event simulation engine.
 
-The engine owns simulated time (integer microseconds) and a two-level
-**calendar queue**: a binary heap holding the near-term *dispatch
-window* plus an array of far-future buckets.  Events land in the
-window directly; events beyond the window horizon are appended to a
-bucket (O(1)) and only heapified when the window advances to their
-bucket.  For the workloads the simulator runs — a dense near-term
-event population fed by periodic timers, plus long-tail timeouts and
-fault injections — this keeps the per-event cost of the far tail off
-the hot dispatch path while degenerating to the plain heap when every
-event is near-term.
+The engine owns simulated time (integer microseconds) and one binary
+**event heap**.  Every scheduled event is pushed onto it and the
+dispatch loop pops the minimum.
 
 Events scheduled for the same instant fire in scheduling order (a
 monotonically increasing sequence number breaks ties), so a run is a
 pure function of the initial configuration and the RNG seed.
 
-**Packed events.**  The queues hold ``(time, seq, kind, target, args)``
+**Packed events.**  The heap holds ``(time, seq, kind, target, args)``
 tuples.  Tuple comparison runs in C and the unique sequence number
 guarantees comparison never reaches the non-comparable tail.  Four
 kinds exist: plain calls (:meth:`Engine.call_at` /
@@ -50,20 +43,13 @@ budget the engine fires each occurrence individually.
 from __future__ import annotations
 
 import random
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
-#: Far-future bucket width is ``1 << _BUCKET_SHIFT`` microseconds
-#: (~65 ms): wide enough that steady-state traffic stays in the
-#: dispatch window, narrow enough that advancing heapifies small
-#: batches.
-_BUCKET_SHIFT = 16
-
-#: Module-wide defaults for :class:`Engine`'s queue flags.  The
-#: differential test suite flips these to run whole experiments on the
-#: legacy single-heap queue or without fast-forward and prove the
-#: journals identical; production code leaves them alone.
-DEFAULT_CALENDAR = True
+#: Module-wide default for :class:`Engine`'s ``fast_forward`` flag.
+#: The differential test suite flips it to run whole experiments with
+#: every tick fired and prove the journals identical; production code
+#: leaves it alone.
 DEFAULT_FAST_FORWARD = True
 
 # Event kinds, inlined as constants in the dispatch loops.
@@ -130,11 +116,6 @@ class Engine:
         of randomness in a simulation must draw from :attr:`rng` (or a
         stream forked from it via :meth:`fork_rng`) so runs replay
         exactly.
-    calendar:
-        With False, the far buckets are disabled and every event lives
-        in one heap — the pre-calendar behaviour, kept selectable so
-        differential tests can prove the two produce identical runs.
-        None (the default) follows :data:`DEFAULT_CALENDAR`.
     fast_forward:
         With False, idle stretches of skip-capable periodic timers are
         never elided; every occurrence fires individually.  None (the
@@ -142,29 +123,18 @@ class Engine:
     """
 
     __slots__ = (
-        "_now", "_seq", "_near", "_far", "_far_ids", "_horizon",
-        "_live", "rng", "_seed", "_running", "_san", "_idle", "_ff",
+        "_now", "_seq", "_near", "_live", "rng", "_seed", "_running",
+        "_san", "_idle", "_ff",
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        calendar: Optional[bool] = None,
-        fast_forward: Optional[bool] = None,
-    ):
-        if calendar is None:
-            calendar = DEFAULT_CALENDAR
+    def __init__(self, seed: int = 0, fast_forward: Optional[bool] = None):
         if fast_forward is None:
             fast_forward = DEFAULT_FAST_FORWARD
         self._now = 0
         self._seq = 0
-        #: The dispatch window: a heap of entries with time < _horizon.
+        #: The event heap of (time, seq, kind, target, args) entries;
+        #: seq is unique, so comparison never reaches the payload.
         self._near: List[Tuple[int, int, int, Any, Any]] = []
-        #: Far-future buckets keyed by time >> _BUCKET_SHIFT, each an
-        #: unsorted append-only list, plus a heap of occupied bucket ids.
-        self._far: Dict[int, List[Tuple[int, int, int, Any, Any]]] = {}
-        self._far_ids: List[int] = []
-        self._horizon: Any = (1 << _BUCKET_SHIFT) if calendar else float("inf")
         #: Count of pending non-daemon events; run() without a deadline
         #: returns when this reaches zero.
         self._live = 0
@@ -202,43 +172,35 @@ class Engine:
 
     # --- queue internals ---------------------------------------------------
 
-    def _push(self, entry: Tuple[int, int, int, Any, Any]) -> None:
-        """File an entry in the window or a far bucket by its time."""
-        if entry[0] < self._horizon:
-            # entry is a (time, seq, ...) tuple; seq is unique, so
-            # comparison never reaches the payload.
-            heappush(self._near, entry)  # simlint: disable=SL202
-        else:
-            bid = entry[0] >> _BUCKET_SHIFT
-            bucket = self._far.get(bid)
-            if bucket is None:
-                self._far[bid] = [entry]
-                # Bucket ids are plain ints (totally ordered).
-                heappush(self._far_ids, bid)  # simlint: disable=SL202
-            else:
-                bucket.append(entry)
-
-    def _advance_window(self) -> None:
-        """Move the dispatch window to the next occupied far bucket.
-
-        Only called with the window empty, so every near entry stays
-        below every far entry and ordering is preserved.  The near list
-        object is never rebound — dispatch loops hold a local alias.
-        """
-        bid = heappop(self._far_ids)
-        near = self._near
-        near.extend(self._far.pop(bid))
-        heapify(near)
-        self._horizon = (bid + 1) << _BUCKET_SHIFT
-
     def _peek_time(self) -> Optional[int]:
         """Time of the next pending entry (dead ones included), or None."""
         near = self._near
-        while not near:
-            if not self._far_ids:
-                return None
-            self._advance_window()
-        return near[0][0]
+        return near[0][0] if near else None
+
+    def _fast_forward(
+        self, timer: "PeriodicTimer", time: int, until: Optional[int]
+    ) -> int:
+        """Elide ``timer``'s idle occurrences from ``time`` on.
+
+        Called with the timer's occurrence at ``time`` already popped
+        and the idle probe already satisfied.  The occurrences strictly
+        before the next pending event (and not past ``until``) are
+        replayed by one ``skip_fn(k)`` call and the timer is re-filed
+        on its grid at the first one left.  Returns ``k``, or 0 when no
+        occurrence can be elided and the one at ``time`` must fire.
+        """
+        bound = self._peek_time()
+        if until is not None and (bound is None or bound > until):
+            bound = until + 1
+        if bound is None or bound <= time:
+            return 0
+        period = timer.period
+        k = (bound - time + period - 1) // period
+        timer._skip_fn(k)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._near, (time + k * period, seq, _K_TIMER, timer, None))
+        return k
 
     # --- scheduling --------------------------------------------------------
 
@@ -255,7 +217,7 @@ class Engine:
         handle = EventHandle(time, seq, fn, args, daemon, self)
         if not daemon:
             self._live += 1
-        self._push((time, seq, _K_HANDLE, handle, None))
+        heappush(self._near, (time, seq, _K_HANDLE, handle, None))
         return handle
 
     def after(
@@ -272,7 +234,7 @@ class Engine:
         handle = EventHandle(time, seq, fn, args, daemon, self)
         if not daemon:
             self._live += 1
-        self._push((time, seq, _K_HANDLE, handle, None))
+        heappush(self._near, (time, seq, _K_HANDLE, handle, None))
         return handle
 
     def call_at(
@@ -291,10 +253,10 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         if daemon:
-            self._push((time, seq, _K_CALL_D, fn, args))
+            heappush(self._near, (time, seq, _K_CALL_D, fn, args))
         else:
             self._live += 1
-            self._push((time, seq, _K_CALL, fn, args))
+            heappush(self._near, (time, seq, _K_CALL, fn, args))
 
     def call_after(
         self, delay: int, fn: Callable[..., None], *args: Any, daemon: bool = False
@@ -306,10 +268,10 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         if daemon:
-            self._push((time, seq, _K_CALL_D, fn, args))
+            heappush(self._near, (time, seq, _K_CALL_D, fn, args))
         else:
             self._live += 1
-            self._push((time, seq, _K_CALL, fn, args))
+            heappush(self._near, (time, seq, _K_CALL, fn, args))
 
     def every(
         self,
@@ -358,38 +320,6 @@ class Engine:
         """
         self._idle = probe
 
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False if the queue is empty."""
-        near = self._near
-        while True:
-            if not near:
-                if not self._far_ids:
-                    return False
-                self._advance_window()
-                continue
-            time, _seq, kind, target, args = heappop(near)
-            if kind == _K_HANDLE:
-                if target.cancelled:
-                    continue
-                self._now = time
-                target.fired = True
-                if not target.daemon:
-                    self._live -= 1
-                target.fn(*target.args)  # simlint: dynamic=engine-dispatch
-            elif kind == _K_TIMER:
-                if target._stopped:
-                    continue
-                self._now = time
-                target._dispatch(time)
-            else:
-                self._now = time
-                if kind == _K_CALL:
-                    self._live -= 1
-                target(*args)  # simlint: dynamic=engine-dispatch
-            if self._san is not None:
-                self._san()  # simlint: dynamic=engine-dispatch
-            return True
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue.
 
@@ -403,22 +333,15 @@ class Engine:
             raise SimulationError("engine is not re-entrant")
         self._running = True
         executed = 0
-        # The near list is never rebound (advancing extends it in
-        # place), so it can live in a local; _live and _now cannot —
-        # callbacks mutate them through self.
+        # The heap list is never rebound, so it can live in a local;
+        # _live and _now cannot — callbacks mutate them through self.
         near = self._near
         pop = heappop
         try:
             if until is None and max_events is None and self._san is None:
                 # The common case, kept free of per-event branch tests.
-                while self._live:
-                    if near:
-                        time, _seq, kind, target, args = pop(near)
-                    elif self._far_ids:
-                        self._advance_window()
-                        continue
-                    else:
-                        break
+                while self._live and near:
+                    time, _seq, kind, target, args = pop(near)
                     if kind == _K_CALL:
                         self._now = time
                         self._live -= 1
@@ -430,16 +353,8 @@ class Engine:
                         if target._skip_fn is not None and self._ff:
                             probe = self._idle
                             if probe is not None and probe():  # simlint: dynamic=engine-dispatch
-                                bound = self._peek_time()
-                                if bound is not None and bound > time:
-                                    period = target.period
-                                    k = (bound - time + period - 1) // period
-                                    target._skip_fn(k)
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    self._push(
-                                        (time + k * period, seq, _K_TIMER, target, None)
-                                    )
+                                k = self._fast_forward(target, time, None)
+                                if k:
                                     executed += k
                                     continue
                         self._now = time
@@ -460,21 +375,15 @@ class Engine:
                         executed += 1
                 return executed
             ff = self._ff and max_events is None and self._san is None
-            while True:
+            while near:
                 if max_events is not None and executed >= max_events:
                     break
                 if until is None and self._live == 0:
                     break
-                if not near:
-                    if self._far_ids:
-                        self._advance_window()
-                        continue
-                    break
                 entry = near[0]
                 time = entry[0]
                 kind = entry[2]
-                # Dead entries are drained even past the deadline, as
-                # the pre-calendar engine did.
+                # Dead entries are drained even past the deadline.
                 if kind == _K_HANDLE and entry[3].cancelled:
                     pop(near)
                     continue
@@ -489,19 +398,8 @@ class Engine:
                     if ff and target._skip_fn is not None:
                         probe = self._idle
                         if probe is not None and probe():  # simlint: dynamic=engine-dispatch
-                            nxt = self._peek_time()
-                            bound = until + 1 if until is not None else None
-                            if nxt is not None and (bound is None or nxt < bound):
-                                bound = nxt
-                            if bound is not None and bound > time:
-                                period = target.period
-                                k = (bound - time + period - 1) // period
-                                target._skip_fn(k)
-                                seq = self._seq
-                                self._seq = seq + 1
-                                self._push(
-                                    (time + k * period, seq, _K_TIMER, target, None)
-                                )
+                            k = self._fast_forward(target, time, until)
+                            if k:
                                 executed += k
                                 continue
                     self._now = time
@@ -529,17 +427,16 @@ class Engine:
     def pending(self) -> int:
         """Number of scheduled, uncancelled events."""
         count = 0
-        for bucket in [self._near, *self._far.values()]:
-            for entry in bucket:
-                kind = entry[2]
-                if kind == _K_HANDLE:
-                    if not entry[3].cancelled:
-                        count += 1
-                elif kind == _K_TIMER:
-                    if not entry[3]._stopped:
-                        count += 1
-                else:
+        for entry in self._near:
+            kind = entry[2]
+            if kind == _K_HANDLE:
+                if not entry[3].cancelled:
                     count += 1
+            elif kind == _K_TIMER:
+                if not entry[3]._stopped:
+                    count += 1
+            else:
+                count += 1
         return count
 
     def live_events(self) -> int:
@@ -593,7 +490,7 @@ class PeriodicTimer:
         eng._seq = seq + 1
         if not self.daemon:
             eng._live += 1
-        eng._push((first_time, seq, _K_TIMER, self, None))
+        heappush(eng._near, (first_time, seq, _K_TIMER, self, None))
         self._scheduled = True
 
     def _dispatch(self, time: int) -> None:
@@ -608,7 +505,7 @@ class PeriodicTimer:
             eng._seq = seq + 1
             if not self.daemon:
                 eng._live += 1
-            eng._push((time + self.period, seq, _K_TIMER, self, None))
+            heappush(eng._near, (time + self.period, seq, _K_TIMER, self, None))
             self._scheduled = True
 
     def stop(self) -> None:

@@ -68,6 +68,31 @@ class TestFrontDoor:
             "fuzz", "--seeds", "1", "--corpus", corpus, "--horizon-ms", "500",
         ]) == 0
 
+    def test_corpus_of_another_profile_and_horizon_is_not_resumed(
+        self, tmp_path, capsys
+    ):
+        # A corpus resumes by scenario fingerprint, not by seed alone:
+        # chaos records at 500 ms do not count as done for a 2000 ms
+        # scenario campaign on the same seeds.
+        from repro.__main__ import main as repro_main
+
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert repro_main([
+            "chaos", "--seeds", "0", "1", "--horizon-ms", "500",
+            "--corpus", corpus,
+        ]) == 0
+        capsys.readouterr()
+        fuzz = [
+            "fuzz", "--seeds", "0", "1", "--horizon-ms", "2000",
+            "--corpus", corpus,
+        ]
+        assert repro_main(fuzz) == 0
+        assert "2 cell(s) run, 0 resumed" in capsys.readouterr().out
+        # Its own records do resume.
+        assert repro_main(fuzz) == 0
+        assert "0 cell(s) run, 2 resumed (ok=2;" in capsys.readouterr().out
+        assert len(open(corpus).readlines()) == 4
+
     def test_help_lists_fuzz(self, capsys):
         from repro.__main__ import main as repro_main
 

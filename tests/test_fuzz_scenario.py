@@ -107,6 +107,34 @@ class TestValidation:
             with pytest.raises(ScenarioError, match="progress_window_us"):
                 small_scenario(progress_window_us=window)
 
+    @pytest.mark.parametrize("field", [
+        "seed", "ncpus", "memory_mb", "ndisks", "horizon_us",
+        "progress_window_us",
+    ])
+    def test_integral_float_dimensions_are_stored_as_ints(self, field):
+        value = {"progress_window_us": 250 * MSEC}.get(
+            field, getattr(small_scenario(), field)
+        )
+        as_int = small_scenario(**{field: value})
+        as_float = small_scenario(**{field: float(value)})
+        assert type(getattr(as_float, field)) is int
+        assert as_float.fingerprint() == as_int.fingerprint()
+
+    @pytest.mark.parametrize("field, value", [
+        ("start_us", 5 * MSEC), ("intensity", 2), ("mount", 1),
+    ])
+    def test_integral_float_workload_fields_are_stored_as_ints(
+        self, field, value
+    ):
+        def scenario(v):
+            return small_scenario(workloads=[
+                WorkloadSpec(kind="cpu_hog", spu="load0", **{field: v})
+            ])
+
+        as_float = scenario(float(value))
+        assert type(getattr(as_float.workloads[0], field)) is int
+        assert as_float.fingerprint() == scenario(value).fingerprint()
+
     def test_rejects_excessive_intensity(self):
         with pytest.raises(ScenarioError, match="intensity"):
             small_scenario(
@@ -152,6 +180,20 @@ class TestRoundTrip:
         assert windowed.fingerprint() != plain.fingerprint()
         rebuilt = ScenarioSpec.from_json(windowed.to_json())
         assert rebuilt.progress_window_us == 250 * MSEC
+
+    def test_integral_float_horizon_is_the_same_scenario(self):
+        # A hand-edited repro file may carry 2000000.0 where the
+        # generator wrote 2000000: same fingerprint, same journal.
+        from repro.fuzz.runner import run_scenario
+
+        record = generate_scenario(3, horizon_us=2 * SEC).to_dict()
+        as_int = ScenarioSpec.from_dict(record)
+        as_float = ScenarioSpec.from_dict(dict(record, horizon_us=2e6))
+        assert as_float.fingerprint() == as_int.fingerprint()
+        assert as_float.to_json() == as_int.to_json()
+        header = run_scenario(as_float).journal[0]
+        assert header == run_scenario(as_int).journal[0]
+        assert "horizon=2000000us" in header
 
     def test_fingerprint_tracks_content(self):
         a = small_scenario()

@@ -2,9 +2,8 @@
 
 Every dynamic-dispatch shape the graph claims to handle has a
 *resolved* fixture (the edge lands, the dependency closure stays
-complete) and a *widened* one (the graph admits defeat, so the sweep
-cache falls back to the whole-tree digest instead of risking a stale
-hit).  The shapes: decorated functions, ``functools.partial``,
+complete) and a *widened* one (the graph admits defeat and marks the
+closure incomplete instead of guessing).  The shapes: decorated functions, ``functools.partial``,
 lambdas stored in dataclass fields, and :mod:`repro.api`'s lazy
 ``_LAZY_EXPORTS`` re-export table.
 """

@@ -233,98 +233,22 @@ def test_cached_soak_journals_are_byte_identical_to_cold(tmp_path):
     assert warm == cold
 
 
-# --- function-precise closure digests ---------------------------------------
-
-
-def _closure_modules(ref):
-    analysis = cache_mod._ensure_analysis()
-    assert analysis is not None
-    modules, reasons = analysis.closure(ref)
-    assert reasons == [], f"{ref} closure unexpectedly incomplete: {reasons}"
-    return modules
-
-
 def test_interpreter_tag_participates_in_every_key(tmp_path, monkeypatch):
     # Entries are pickles: a different implementation/feature-version
-    # pair must land at a different address (satellite: portability).
+    # pair must land at a different address.
     cache = SweepCache(str(tmp_path))
-    fallback_key = cache.key_for(_square, 3)
-    precise = cache_mod.closure_digest(run_experiment)
+    key = cache.key_for(_square, 3)
     monkeypatch.setattr(cache_mod, "_INTERP_TAG", "otherpython-9.9")
-    assert cache.key_for(_square, 3) != fallback_key
-    assert cache_mod.closure_digest(run_experiment) != precise
+    assert cache.key_for(_square, 3) != key
 
 
-def test_non_repro_functions_fall_back_to_the_whole_tree(tmp_path):
-    before = cache_mod.closure_stats()["fallback"]
-    assert cache_mod.closure_digest(_square) == cache_mod.code_digest()
-    assert cache_mod.closure_stats()["fallback"] == before + 1
-
-
-def test_repro_entry_points_get_precise_closures():
-    before = cache_mod.closure_stats()["precise"]
-    first = cache_mod.closure_digest(run_experiment)
-    assert first == cache_mod.closure_digest(run_experiment)
-    assert first != cache_mod.code_digest()
-    assert cache_mod.closure_stats()["precise"] == before + 2
-    # The proven closure stays clear of host-side tooling: editing the
-    # linter, the bench harness, or the executor machinery must never
-    # invalidate simulation results.
-    modules = _closure_modules("repro.api.registry:run")
-    assert "repro.core.spu" in modules
-    assert not any(
-        m.startswith(("repro.lint", "repro.bench", "repro.parallel"))
-        for m in modules
-    )
-
-
-def test_edit_outside_the_closure_preserves_hits(tmp_path, monkeypatch):
-    payloads = [ExperimentSpec(name="fig5", seed=0)]
-    plan = SweepPlan(max_workers=1, cache=True, cache_dir=str(tmp_path))
-    cold_exec = Executor(plan)
-    cold = values(cold_exec.run(run_experiment, payloads))
-    assert cold_exec.stats.cache_misses == 1
-
-    # An edit outside the closure moves the whole-tree digest but not
-    # the per-function one, so the store stays warm...
-    digest_before = cache_mod.closure_digest(run_experiment)
-    monkeypatch.setattr(cache_mod, "_CODE_DIGEST", "outside-closure-edit")
-    assert cache_mod.closure_digest(run_experiment) == digest_before
-    warm_exec = Executor(plan)
-    warm = values(warm_exec.run(run_experiment, payloads))
-    assert warm_exec.stats.cache_hits == 1
-    # ... and the replayed bytes are the cold run's, exactly.
-    assert [r.canonical_json() for r in warm] == [
-        r.canonical_json() for r in cold
-    ]
-
-
-def test_edit_inside_the_closure_forces_a_miss(tmp_path, monkeypatch):
-    import repro
-
+def test_repro_entry_points_key_on_the_whole_tree(tmp_path, monkeypatch):
+    # An edit anywhere in the package — here, any change of the tree
+    # digest — moves the key of a repro entry point too.
     cache = SweepCache(str(tmp_path))
-    key_before = cache.key_for(run_experiment, ("fig5", 0))
-    modules = _closure_modules("repro.api.registry:run")
-    assert "repro.core.spu" in modules  # the file we "edit" is inside
-    tree_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__))
-    )
-    spu_path = os.path.join(tree_root, "repro", "core", "spu.py")
-    monkeypatch.setattr(cache_mod, "_CLOSURE_PARTS", {})
-    monkeypatch.setitem(
-        cache_mod._FILE_DIGESTS, spu_path, b"\x00" * 32
-    )
-    assert cache.key_for(run_experiment, ("fig5", 0)) != key_before
-
-
-def test_env_knobs_fold_into_precise_digests(monkeypatch):
-    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
-    plain = cache_mod.closure_digest(run_experiment)
-    monkeypatch.setenv("REPRO_SIMSAN", "1")
-    assert cache_mod.closure_digest(run_experiment) != plain
-    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
-    monkeypatch.setenv("REPRO_CACHE_DIR", "/elsewhere")
-    assert cache_mod.closure_digest(run_experiment) == plain
+    key = cache.key_for(run_experiment, ("fig5", 0))
+    monkeypatch.setattr(cache_mod, "_CODE_DIGEST", "edited-tree-digest")
+    assert cache.key_for(run_experiment, ("fig5", 0)) != key
 
 
 def test_simsan_entries_never_alias_plain_entries(tmp_path, monkeypatch):

@@ -175,15 +175,19 @@ class TestRun:
         assert failures == [True]
 
     def test_step_runs_one_event(self):
+        # One step is a run with a one-event budget.
         eng = Engine()
         seen = []
         eng.after(1, seen.append, "a")
         eng.after(2, seen.append, "b")
-        assert eng.step() is True
+        assert eng.run(max_events=1) == 1
         assert seen == ["a"]
+        assert eng.now == 1
 
     def test_step_on_empty_queue_returns_false(self):
-        assert Engine().step() is False
+        eng = Engine()
+        assert not eng.run(max_events=1)
+        assert eng.now == 0
 
     def test_pending_counts_uncancelled(self):
         eng = Engine()

@@ -126,3 +126,60 @@ class TestUnevenFractions:
         expected = (4 * MILLI_CPU // 3) / MILLI_CPU * 1e6  # µs per 1s
         for used in usages:
             assert used == pytest.approx(expected, rel=0.1)
+
+
+# --- _skip_ticks(k) against k ticks ------------------------------------------
+
+
+def _rotation_state(kernel):
+    sched = kernel.cpusched
+    partition = sched.partition
+    return {
+        "home": dict(partition._home),
+        "credit": {
+            cpu: dict(rotation._credit)
+            for cpu, rotation in partition.time_shared.items()
+        },
+        "loans": (sched.loans_granted, sched.loans_revoked),
+        "cpus": [
+            (c.running, c.on_loan, c.no_loan_until, c.online)
+            for c in sched.processors
+        ],
+        "waiting": sched.waiting(),
+    }
+
+
+#: (nspus, ncpus, scheme, weights by SPU name or None for equal shares).
+SKIP_MACHINES = [
+    pytest.param(2, 1, quota_scheme, None, id="quo-2spu-1cpu"),
+    pytest.param(3, 2, piso_scheme, None, id="piso-3spu-2cpu"),
+    pytest.param(3, 4, quota_scheme, None, id="quo-3spu-4cpu"),
+    pytest.param(3, 2, piso_scheme, {"u0": 1, "u1": 2, "u2": 4},
+                 id="piso-weighted-1-2-4"),
+    pytest.param(2, 3, quota_scheme, {"u0": 5, "u1": 2},
+                 id="quo-weighted-5-2"),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 100, 1001])
+@pytest.mark.parametrize("nspus, ncpus, scheme, weights", SKIP_MACHINES)
+def test_skip_ticks_matches_k_quiescent_ticks(nspus, ncpus, scheme, weights, k):
+    """The idle fast-forward's contract: on a quiescent machine,
+    ``_skip_ticks(k)`` leaves exactly the state ``k`` calls of
+    ``_tick()`` leave — rotation credits, CPU homes and scheduler
+    counters."""
+    contract = WeightedContract(weights) if weights is not None else None
+    skipped, _ = build(nspus, ncpus, scheme=scheme(), contract=contract)
+    ticked, _ = build(nspus, ncpus, scheme=scheme(), contract=contract)
+    assert skipped.cpusched.partition.time_shared
+    boot = _rotation_state(ticked)
+    assert _rotation_state(skipped) == boot
+    assert skipped._quiescent() and ticked._quiescent()
+
+    skipped._skip_ticks(k)
+    for _ in range(k):
+        ticked._tick()
+
+    assert ticked._quiescent()
+    assert _rotation_state(skipped) == _rotation_state(ticked)
+    assert _rotation_state(ticked) != boot
